@@ -11,6 +11,7 @@ variables; everything else lives in the config so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -64,7 +65,32 @@ def _validate(config: dict) -> list:
     for err in sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path)):
         where = ".".join(str(p) for p in err.absolute_path) or "<root>"
         msgs.append(f"config error at {where}: {err.message}")
+    if not msgs:
+        msgs = _param_errors(config["scenario"], config["params"])
     return msgs
+
+
+def _param_errors(scenario: str, params: dict) -> list:
+    """Names in params that the scenario's runner does not take as a parameter."""
+    sig = inspect.signature(SCENARIOS[scenario]).parameters.values()
+    open_ended = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in sig)  # a wrapper: cannot tell
+    accepted = [p.name for p in sig if p.kind is inspect.Parameter.KEYWORD_ONLY and p.name not in ("seed", "threads")]
+    msgs = []
+    for key in sorted(params):
+        if key in ("seed", "threads"):
+            msgs.append(f"config error at params.{key}: set {key} at the top level, not under params")
+        elif key not in accepted and not open_ended:
+            msgs.append(f"config error at params.{key}: scenario {scenario!r} has no parameter {key!r}; "
+                        f"it takes {', '.join(accepted)}")
+    return msgs
+
+
+def _env_threads() -> int:
+    raw = os.environ.get("MFGLAB_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"environment variable MFGLAB_THREADS must be an integer thread count, got {raw!r}") from None
 
 
 def _resolve_config(args) -> dict:
@@ -83,7 +109,8 @@ def _resolve_config(args) -> dict:
         key, value = _parse_set(assignment)
         _apply_set(config, key, value)
     config.setdefault("seed", 0)
-    config.setdefault("threads", int(os.environ.get("MFGLAB_THREADS", "1")))
+    if "threads" not in config:
+        config["threads"] = _env_threads()
     config.setdefault("params", {})
     return config
 
@@ -123,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="path to a JSON config file")
     run.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker threads for repetitions (default MFGLAB_THREADS or 1)")
+                     help="worker threads, each taking whole chunks of repetitions (default MFGLAB_THREADS or 1)")
     run.add_argument("--out", default=None, help="output directory (default mfglab_out/<scenario>)")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config field, e.g. --set params.reps=50")

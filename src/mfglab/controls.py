@@ -59,10 +59,6 @@ class ControlField:
     def is_relaxed(self) -> bool:
         return self.mode == "relaxed"
 
-    def step_of(self, t: float) -> int:
-        j = int(np.floor(t / self.tgrid.dt))
-        return min(max(j, 0), self.tgrid.n_steps - 1)
-
     def actions(self, j: int, t: float, x: np.ndarray, stats) -> np.ndarray:
         """Actions for states x (n, d) at step j; not defined for relaxed fields."""
         if self.mode == "relaxed":
@@ -104,7 +100,7 @@ def sign_of_mean(tgrid: TimeGrid, start: float = 0.0) -> ControlField:
     """Drift with the sign of the population mean once t > start; sign(0) = 0."""
 
     def func(t, x, stats):
-        a = np.sign(stats.mean[0]) if t > start else 0.0
+        a = np.sign(stats.mean[..., 0, None]) if t > start else 0.0
         return np.full(x.shape[:-1] + (1,), a)
 
     return ControlField.analytic(tgrid, func, name=f"sign_of_mean[start={start}]")

@@ -17,17 +17,31 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MeasureStats:
-    """Summary statistics of a probability measure on R^d."""
+    """Summary statistics of a probability measure on R^d, or of a batch of them.
 
-    mean: np.ndarray  # (d,)
-    var: np.ndarray   # (d,) per-coordinate variance
+    One measure has mean and var shaped (d,). A batch of R measures, as built
+    from clouds shaped (R, n, d), has them shaped (R, 1, d), so they broadcast
+    against per-particle arrays (R, n, ...); coefficients read the first
+    coordinate as mean[..., 0] and work either way.
+    """
+
+    mean: np.ndarray  # (d,) or (R, 1, d)
+    var: np.ndarray   # per-coordinate variance, shaped like mean
 
     @classmethod
     def from_cloud(cls, cloud: np.ndarray) -> "MeasureStats":
         cloud = np.asarray(cloud, dtype=float)
-        if cloud.ndim != 2:
-            raise ValueError(f"cloud must be (n, d), got shape {cloud.shape}")
-        return cls(mean=cloud.mean(axis=0), var=cloud.var(axis=0))
+        if cloud.ndim not in (2, 3):
+            raise ValueError(f"cloud must be (n, d) or (R, n, d), got shape {cloud.shape}")
+        # the ufunc calls np.mean and np.var make, spelled out: same bits,
+        # without their per-call overhead, which matters once per Euler step
+        n = cloud.shape[-2]
+        mean = np.add.reduce(cloud, axis=-2, keepdims=True) / n
+        dev = cloud - mean
+        var = np.add.reduce(np.square(dev, out=dev), axis=-2, keepdims=True) / n
+        if cloud.ndim == 2:
+            return cls(mean=mean[0], var=var[0])
+        return cls(mean=mean, var=var)
 
     @classmethod
     def point(cls, x) -> "MeasureStats":
@@ -159,7 +173,7 @@ def sign_drift(horizon: float = 1.0) -> GameSpec:
         initial=initial,
         drift=lambda t, x, m, a: a,
         running=_zero_running,
-        terminal=lambda x, m: x[..., 0] * m.mean[0],
+        terminal=lambda x, m: x[..., 0] * m.mean[..., 0],
         drift_bound=1.0,
         running_bound=0.0,
         terminal_bound=mean_bound * (1.0 + horizon),
@@ -196,7 +210,7 @@ def monotone_lq(horizon: float = 1.0, action_cost: float = 0.5) -> GameSpec:
         initial=initial,
         drift=lambda t, x, m, a: a,
         running=running,
-        terminal=lambda x, m: -x[..., 0] * m.mean[0],
+        terminal=lambda x, m: -x[..., 0] * m.mean[..., 0],
         drift_bound=1.0,
         running_bound=action_cost,
         terminal_bound=mean_bound * (1.0 + horizon),
@@ -236,7 +250,7 @@ def mean_drift(profile: str = "linear", scale: float = 1.0, x0: float = 1.0, hor
 
     def drift(t, x, m, a):
         shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1]) + (1,)
-        return np.broadcast_to(B(m.mean[0], scale), shape).copy()
+        return np.broadcast_to(B(m.mean[..., 0], scale)[..., None], shape).copy()
 
     return GameSpec(
         name="mean_drift",

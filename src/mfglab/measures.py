@@ -240,11 +240,6 @@ def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow, metric: str = "w1") -> f
     return float(np.max(per_slice))
 
 
-def mean_path(flow) -> np.ndarray:
-    """Mean path of a flow, shape (M+1, d)."""
-    return flow.mean_path()
-
-
 FLOW_FUNCTIONALS: dict = {
     "mean_T": lambda flow: float(flow.mean_path()[-1, 0]),
     "abs_mean_T": lambda flow: float(abs(flow.mean_path()[-1, 0])),

@@ -9,6 +9,7 @@ which anything is evaluated, or on worker thread counts.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,29 @@ from .grids import TimeGrid
 _MASK63 = (1 << 63) - 1
 
 
+def _seed_int(value, what: str) -> int:
+    """value as a Python int; numpy integers map to the same int, bools and the rest are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what}, got {type(value).__name__} {value!r}")
+
+
 def derive_seed(root: int, *branch) -> int:
     """Stable 63-bit child seed for a labelled branch of a root seed.
 
     Branch components may be ints or short strings; the mapping is a pure
-    function of the arguments (no process state), so derived experiments are
+    function of their values (no process state, and no dependence on whether
+    an int arrives as a Python or a numpy integer), so derived experiments are
     reproducible across runs and platforms.
     """
-    h = hashlib.blake2b(repr((int(root),) + branch).encode(), digest_size=8)
+    key = (_seed_int(root, "the root seed must be an int"),) + tuple(
+        str(p) if isinstance(p, str) else _seed_int(p, "seed branch components must be ints or strings")
+        for p in branch
+    )
+    h = hashlib.blake2b(repr(key).encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little") & _MASK63
 
 
@@ -53,27 +69,52 @@ class BrownianBundle:
         return self.increments.sum(axis=0) / np.sqrt(self.n)
 
 
-def _particle_stream(seed: int, k: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(k)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _PhiloxStreams:
+    """One Philox generator re-keyed to (seed, k) on demand.
+
+    Re-keying sets the key and zeroes the counter and buffers, which is the
+    state a freshly constructed np.random.Philox(key=[seed, k]) starts in, at
+    a fraction of the construction cost.
+    """
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state  # taken before any draw: buffers empty
+        self._key = np.zeros(2, dtype=np.uint64)
+
+    def stream(self, seed: int, k: int) -> np.random.Generator:
+        self._key[0], self._key[1] = seed, k
+        self._state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": self._key}
+        self._bitgen.state = self._state
+        return self._gen
 
 
-def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1) -> BrownianBundle:
-    """Draw a BrownianBundle; same (seed, n, M, dim, dt) gives identical bits."""
+def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.ndarray | None = None) -> BrownianBundle:
+    """Draw a BrownianBundle; same (seed, n, M, dim, dt) gives identical bits.
+
+    out, if given, is a C-contiguous float64 (n, M, dim) array that receives
+    the increments and backs the bundle, so batched simulations can draw each
+    repetition straight into its slot of a chunk buffer.
+    """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
     if not 0 <= seed <= np.iinfo(np.uint64).max:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    M = grid.n_steps
-    out = np.empty((n, M, dim))
+    shape = (n, grid.n_steps, dim)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 {shape} array, got {out.dtype} {out.shape}")
+    streams = _PhiloxStreams()
     for k in range(n):
-        out[k] = _particle_stream(seed, k).standard_normal((M, dim))
+        streams.stream(seed, k).standard_normal(out=out[k])
     out *= np.sqrt(grid.dt)
     return BrownianBundle(seed=seed, grid=grid, n=n, dim=dim, increments=out)
 
 
 def initial_cloud(seed: int, n: int, sampler) -> np.ndarray:
     """Draw n initial states from a sampler(generator, n) using a dedicated stream."""
-    return sampler(_particle_stream(seed, _MASK63), n)
+    return sampler(_PhiloxStreams().stream(seed, _MASK63), n)

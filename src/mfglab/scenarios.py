@@ -3,8 +3,9 @@
 Each scenario runs a fixed-seed batch of simulations, aggregates statistics,
 evaluates its named checks, and returns a ScenarioReport that can be written
 as CSV tables, a text summary, and optional SVG plots. Repetitions are
-independent jobs keyed by derived seeds and reduced in repetition order, so
-results are identical for any worker thread count.
+independent, keyed by derived seeds, and stepped together in fixed chunks
+through one batched Euler loop; worker threads take whole chunks, and results
+are reduced in repetition order, so they are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from .mfe import candidate_flow, check_monotonicity, consistency_residual, picar
 from .reporting import config_hash, fmt, svg_line_plot, write_csv
 from .rng import derive_seed, initial_cloud, sample_brownian
 from .grids import TimeGrid
-from .sim import simulate_nplayer
+from .sim import euler, nplayer_drift, simulate_nplayer
+
+# Noise held by one chunk of repetitions. A chunk takes as many repetitions as
+# fit under it (at least one); it bounds the memory of a batched run and does
+# not depend on the thread count, so chunk contents, and hence reports, do not
+# either.
+_CHUNK_NOISE_BYTES = 16 << 20
 
 
 @dataclass
@@ -91,6 +98,36 @@ def _map_ordered(worker, items, threads: int):
     return [worker(item) for item in items]
 
 
+def _rep_chunks(reps: int, n: int, n_steps: int) -> list:
+    """Consecutive repetition ranges whose noise, n * n_steps doubles each, fits the cap."""
+    size = max(1, _CHUNK_NOISE_BYTES // (n * n_steps * 8))
+    return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed: int, labels, threads: int) -> np.ndarray:
+    """Particle-mean paths (reps, M+1) of independent 1-d n-player runs.
+
+    Repetition r draws its noise and initial cloud from the seeds derived
+    from (seed, label, n, r) for the noise and initial-cloud labels. Each
+    chunk draws its noise straight into one buffer and is stepped as a batch.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    noise_label, init_label = labels
+    drift = nplayer_drift(game, feedback, tgrid, n)
+    sampler = game.initial.sampler()
+
+    def run_chunk(chunk):
+        noise = np.empty((len(chunk), n, tgrid.n_steps, 1))
+        x0 = np.empty((len(chunk), n, 1))
+        for i, r in enumerate(chunk):
+            sample_brownian(derive_seed(seed, noise_label, n, r), n, tgrid, 1, out=noise[i])
+            x0[i] = initial_cloud(derive_seed(seed, init_label, n, r), n, sampler)
+        return euler(drift, noise, x0, tgrid, record="mean", first_rep=chunk.start)[..., 0]
+
+    return np.concatenate(_map_ordered(run_chunk, _rep_chunks(reps, n, tgrid.n_steps), threads))
+
+
 def run_sign_drift(
     *,
     t0: float = 0.0,
@@ -116,29 +153,20 @@ def run_sign_drift(
     tgrid = TimeGrid(horizon, n_steps)
     times = tgrid.times
     feedback = sign_of_mean(tgrid, start=t0)
-    sampler = game.initial.sampler()
     ramp = np.maximum(times - t0, 0.0)
     near_tol = 0.2 * horizon
 
     for n in n_values:
-        def worker(r, n=n):
-            bundle = sample_brownian(derive_seed(seed, "sign", n, r), n, tgrid, 1)
-            x0 = initial_cloud(derive_seed(seed, "sign-init", n, r), n, sampler)
-            ens = simulate_nplayer(game, feedback, bundle, x0)
-            mp = ens.states[:, :, 0].mean(axis=0)
-            d_plus = float(np.abs(mp - ramp).max())
-            d_minus = float(np.abs(mp + ramp).max())
-            return {
-                "n": n, "rep": r,
-                "mean_T": float(mp[-1]),
-                "abs_mean_T": float(abs(mp[-1])),
-                "sq_mean_T": float(mp[-1] ** 2),
-                "near_ramp": int(min(d_plus, d_minus) <= near_tol),
-                "ramp_dist": min(d_plus, d_minus),
-            }, mp
-
-        results = _map_ordered(worker, range(reps), threads)
-        rows = [row for row, _ in results]
+        paths = _nplayer_mean_paths(game, feedback, tgrid, n, reps, seed, ("sign", "sign-init"), threads)
+        ramp_dist = np.minimum(np.abs(paths - ramp).max(axis=1), np.abs(paths + ramp).max(axis=1))
+        rows = [{
+            "n": n, "rep": r,
+            "mean_T": float(mp[-1]),
+            "abs_mean_T": float(abs(mp[-1])),
+            "sq_mean_T": float(mp[-1] ** 2),
+            "near_ramp": int(dist <= near_tol),
+            "ramp_dist": float(dist),
+        } for r, (mp, dist) in enumerate(zip(paths, ramp_dist))]
         report.rows.extend(rows)
         mean_T = np.array([row["mean_T"] for row in rows])
         report.summary.append({
@@ -150,7 +178,7 @@ def run_sign_drift(
         })
         if n == max(n_values):
             for r in range(min(8, reps)):
-                report.curves[f"mean path rep {r}"] = (times, results[r][1])
+                report.curves[f"mean path rep {r}"] = (times, paths[r])
             report.curves["ramp +"] = (times, ramp)
             report.curves["ramp -"] = (times, -ramp)
 
@@ -207,7 +235,6 @@ def run_mean_drift(
     tgrid = TimeGrid(horizon, n_steps)
     times = tgrid.times
     feedback = sign_of_mean(tgrid, start=2 * horizon)  # never active; uncontrolled game
-    sampler = game.initial.sampler()
 
     if profile in ("linear", "zero"):
         oracle = _ode_oracle(game, tgrid)
@@ -217,24 +244,16 @@ def run_mean_drift(
 
     sup_errs = {}
     for n in n_values:
-        def worker(r, n=n):
-            bundle = sample_brownian(derive_seed(seed, "mdrift", n, r), n, tgrid, 1)
-            x_init = initial_cloud(derive_seed(seed, "mdrift-init", n, r), n, sampler)
-            ens = simulate_nplayer(game, feedback, bundle, x_init)
-            mp = ens.states[:, :, 0].mean(axis=0)
-            if profile in ("linear", "zero"):
-                sup_err = float(np.abs(mp - oracle).max())
-            else:
-                sup_err = float(min(np.abs(mp - oracle).max(), np.abs(mp + oracle).max()))
-            return {
-                "n": n, "rep": r,
-                "mean_T": float(mp[-1]),
-                "sup_err": sup_err,
-                "sup_abs_mean": float(np.abs(mp).max()),
-            }, mp
-
-        results = _map_ordered(worker, range(reps), threads)
-        rows = [row for row, _ in results]
+        paths = _nplayer_mean_paths(game, feedback, tgrid, n, reps, seed, ("mdrift", "mdrift-init"), threads)
+        sup_err = np.abs(paths - oracle).max(axis=1)
+        if profile not in ("linear", "zero"):
+            sup_err = np.minimum(sup_err, np.abs(paths + oracle).max(axis=1))
+        rows = [{
+            "n": n, "rep": r,
+            "mean_T": float(mp[-1]),
+            "sup_err": float(err),
+            "sup_abs_mean": float(np.abs(mp).max()),
+        } for r, (mp, err) in enumerate(zip(paths, sup_err))]
         report.rows.extend(rows)
         errs = np.array([row["sup_err"] for row in rows])
         summary = {
@@ -249,7 +268,7 @@ def run_mean_drift(
         sup_errs[n] = float(errs.mean())
         if n == max(n_values):
             for r in range(min(5, reps)):
-                report.curves[f"mean path rep {r}"] = (times, results[r][1])
+                report.curves[f"mean path rep {r}"] = (times, paths[r])
 
     if profile == "linear" and len(n_values) >= 2:
         lx = np.log(np.array(n_values, dtype=float))

@@ -1,10 +1,16 @@
 """Euler integration of the coupled n-player system and of frozen-flow copies.
 
 Conventions shared by every simulator here:
-  * uniform grid, unit diffusion, increments supplied by a BrownianBundle;
+  * uniform grid, unit diffusion, increments supplied by a BrownianBundle
+    (or, batched, by bundles stacked along a leading repetition axis);
   * coefficients are evaluated with the measure statistics at the step start;
   * realized per-step drifts are recorded so change-of-measure weights and
     drift projections can be formed after the fact.
+
+All of them step through one loop, euler(), over states shaped (..., n, d):
+the public simulators pass a single system (no leading axis), and batched
+callers pass R independent repetitions at once, shaped (R, n, d), so the
+per-step Python work is paid once per batch instead of once per repetition.
 """
 
 from __future__ import annotations
@@ -41,12 +47,19 @@ class ParticleEnsemble:
         return self.states[:, j, :]
 
 
-def _check_finite(values: np.ndarray, what: str, t: float, x: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        k = int(np.argwhere(bad.reshape(values.shape[0], -1).any(axis=1))[0, 0])
+def _check_finite(values: np.ndarray, what: str, t: float, x: np.ndarray, first_rep: int = 0) -> None:
+    """Raise on the first non-finite entry of values (..., n, ...) aligned with states x (..., n, d).
+
+    With a leading repetition axis the message names the repetition, counted
+    from first_rep.
+    """
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values)
+        lead = x.shape[:-1]
+        where = tuple(int(i) for i in np.argwhere(bad.reshape(lead + (-1,)).any(axis=-1))[0])
+        rep = f"repetition {first_rep + where[0]}, " if len(where) > 1 else ""
         raise FloatingPointError(
-            f"{what} evaluated to a non-finite value at t={t:.6g}, particle {k}, state {x[k].tolist()}"
+            f"{what} evaluated to a non-finite value at t={t:.6g}, {rep}particle {where[-1]}, state {x[where].tolist()}"
         )
 
 
@@ -107,6 +120,74 @@ def _prep_init(init: np.ndarray, n: int, dim: int) -> np.ndarray:
     return init
 
 
+def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: str = "full", first_rep: int = 0):
+    """The Euler loop: x_{j+1} = x_j + b_j dt + dW_j over states shaped (..., n, d).
+
+    noise holds the increments, shaped (..., n, M, d), and init the starting
+    states (..., n, d); the leading axes, if any, index independent
+    repetitions. drift(j, x, out) writes the drift at step j for states x
+    into out, shaped like x; every step is checked for non-finite drifts.
+
+    record="full" returns (states (..., n, M+1, d), drifts (..., n, M, d));
+    record="mean" returns only the particle-mean path (..., M+1, d), so a
+    batch needs no more memory than its noise. first_rep is the number of
+    the batch's first repetition, used to name a repetition in errors.
+    """
+    M = grid.n_steps
+    if noise.shape[-2] != M or noise.shape[:-2] != init.shape[:-1] or noise.shape[-1] != init.shape[-1]:
+        raise ValueError(f"noise {noise.shape} does not fit initial states {init.shape} on {M} steps")
+    dt, times = grid.dt, grid.times
+    lead = init.shape[:-1]
+    if record == "full":
+        states = np.empty(lead + (M + 1,) + init.shape[-1:])
+        drifts = np.empty(noise.shape)
+        states[..., 0, :] = init
+    elif record == "mean":
+        means = np.empty(lead[:-1] + (M + 1,) + init.shape[-1:])
+        step = np.empty(init.shape)
+    else:
+        raise ValueError(f"record must be 'full' or 'mean', got {record!r}")
+    x = init
+    for j in range(M):
+        if record == "full":
+            step = drifts[..., j, :]
+        else:
+            means[..., j, :] = np.add.reduce(x, axis=-2)
+        drift(j, x, step)
+        _check_finite(step, "drift", times[j], x, first_rep)
+        x = x + step * dt + noise[..., j, :]
+        if record == "full":
+            states[..., j + 1, :] = x
+    if record == "full":
+        return states, drifts
+    means[..., M, :] = np.add.reduce(x, axis=-2)
+    means /= init.shape[-2]  # sums to means, the division np.mean makes
+    return means
+
+
+def nplayer_drift(game: GameSpec, feedbacks, grid: TimeGrid, n: int):
+    """Drift of the coupled system for euler(): each player's feedback sees its
+    own state and the statistics of its repetition's current cloud.
+
+    feedbacks is a single ControlField shared by all players or a length-n
+    family (one entry per player, duplicates allowed and grouped).
+    """
+    groups = _feedback_groups(feedbacks, n)
+    times = grid.times
+
+    def drift(j, x, out):
+        stats = MeasureStats.from_cloud(x)
+        for field, idx in groups:
+            out[..., idx, :] = control_drift(game, field, j, times[j], x[..., idx, :], stats)
+
+    return drift
+
+
+def _check_bundle(game: GameSpec, bundle: BrownianBundle) -> None:
+    if bundle.dim != game.dim:
+        raise ValueError(f"bundle dimension {bundle.dim} does not match game dimension {game.dim}")
+
+
 def simulate_nplayer(game: GameSpec, feedbacks, bundle: BrownianBundle, init: np.ndarray) -> ParticleEnsemble:
     """Integrate the coupled system: every player feeds back on its own state
     and on the statistics of the current empirical measure.
@@ -114,25 +195,10 @@ def simulate_nplayer(game: GameSpec, feedbacks, bundle: BrownianBundle, init: np
     feedbacks is a single ControlField shared by all players or a length-n
     family (one entry per player, duplicates allowed and grouped).
     """
-    n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
-    if d != game.dim:
-        raise ValueError(f"bundle dimension {d} does not match game dimension {game.dim}")
-    init = _prep_init(init, n, d)
-    groups = _feedback_groups(feedbacks, n)
-    dt = bundle.grid.dt
-    times = bundle.grid.times
-
-    states = np.empty((n, M + 1, d))
-    drifts = np.empty((n, M, d))
-    states[:, 0] = init
-    x = init
-    for j in range(M):
-        stats = MeasureStats.from_cloud(x)
-        for field, idx in groups:
-            drifts[idx, j] = control_drift(game, field, j, times[j], x[idx], stats)
-        _check_finite(drifts[:, j], "drift", times[j], x)
-        x = x + drifts[:, j] * dt + bundle.increments[:, j]
-        states[:, j + 1] = x
+    _check_bundle(game, bundle)
+    init = _prep_init(init, bundle.n, bundle.dim)
+    drift = nplayer_drift(game, feedbacks, bundle.grid, bundle.n)
+    states, drifts = euler(drift, bundle.increments, init, bundle.grid)
     return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts, seed=bundle.seed)
 
 
@@ -142,25 +208,17 @@ def simulate_frozen_flow(game: GameSpec, control: ControlField, flow, bundle: Br
     flow only needs a stats_path() method; particles never see each other, so
     the cloud is a plain Monte Carlo sample of the controlled one-player law.
     """
-    n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
-    if d != game.dim:
-        raise ValueError(f"bundle dimension {d} does not match game dimension {game.dim}")
-    init = _prep_init(init, n, d)
+    _check_bundle(game, bundle)
+    init = _prep_init(init, bundle.n, bundle.dim)
     stats_path = flow.stats_path()
-    if len(stats_path) != M + 1:
+    if len(stats_path) != bundle.grid.n_steps + 1:
         raise ValueError("flow and bundle must share the time grid")
-    dt = bundle.grid.dt
     times = bundle.grid.times
 
-    states = np.empty((n, M + 1, d))
-    drifts = np.empty((n, M, d))
-    states[:, 0] = init
-    x = init
-    for j in range(M):
-        drifts[:, j] = control_drift(game, control, j, times[j], x, stats_path[j])
-        _check_finite(drifts[:, j], "drift", times[j], x)
-        x = x + drifts[:, j] * dt + bundle.increments[:, j]
-        states[:, j + 1] = x
+    def drift(j, x, out):
+        out[...] = control_drift(game, control, j, times[j], x, stats_path[j])
+
+    states, drifts = euler(drift, bundle.increments, init, bundle.grid)
     return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts, seed=bundle.seed)
 
 
@@ -172,22 +230,16 @@ def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> Particle
     """
     n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
     init = _prep_init(init, n, d)
-    dt = bundle.grid.dt
-    as_array = not callable(drift)
-    if as_array:
-        drift = np.asarray(drift, dtype=float)
-        if drift.shape != (n, M, d):
-            raise ValueError(f"drift array must be ({n}, {M}, {d}), got {drift.shape}")
+    if not callable(drift):
+        table = np.asarray(drift, dtype=float)
+        if table.shape != (n, M, d):
+            raise ValueError(f"drift array must be ({n}, {M}, {d}), got {table.shape}")
+        drift = lambda j, x: table[:, j]
 
-    states = np.empty((n, M + 1, d))
-    drifts = np.empty((n, M, d))
-    states[:, 0] = init
-    x = init
-    for j in range(M):
-        drifts[:, j] = drift[:, j] if as_array else drift(j, x)
-        _check_finite(drifts[:, j], "drift", bundle.grid.times[j], x)
-        x = x + drifts[:, j] * dt + bundle.increments[:, j]
-        states[:, j + 1] = x
+    def fill(j, x, out):
+        out[...] = drift(j, x)
+
+    states, drifts = euler(fill, bundle.increments, init, bundle.grid)
     return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts, seed=bundle.seed)
 
 

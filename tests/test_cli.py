@@ -99,6 +99,30 @@ class TestRun:
         assert main(["run", "mean_drift", "--set", "reps", "--out", str(tmp_path / "x")]) == 1
         assert "--set expects key=value" in capsys.readouterr().err
 
+    def test_unknown_scenario_parameter_names_the_field(self, tmp_path, capsys):
+        code = main(["run", "sign_drift", "--set", "params.rep=3", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error at params.rep:" in err
+        assert "reps" in err  # the accepted names are listed
+        assert not (tmp_path / "x").exists()
+
+    def test_seed_under_params_is_refused(self, tmp_path, capsys):
+        assert main(["run", "mean_drift", "--set", "params.seed=3", "--out", str(tmp_path / "x")] + FAST_ZERO) == 1
+        assert "config error at params.seed:" in capsys.readouterr().err
+
+    def test_non_integer_thread_variable_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MFGLAB_THREADS", "abc")
+        assert main(["run", "mean_drift", "--out", str(tmp_path / "x")] + FAST_ZERO) == 1
+        err = capsys.readouterr().err
+        assert "MFGLAB_THREADS" in err and "'abc'" in err
+
+    def test_thread_flag_makes_the_variable_irrelevant(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MFGLAB_THREADS", "abc")
+        assert main(["run", "mean_drift", "--threads", "2", "--out", str(tmp_path / "x")] + FAST_ZERO) == 0
+        config, _ = _resolved(capsys)
+        assert config["threads"] == 2
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main([])

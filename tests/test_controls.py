@@ -10,16 +10,6 @@ def _tg(n=10):
     return TimeGrid(1.0, n)
 
 
-class TestStepLookup:
-    def test_step_of_boundaries(self):
-        f = ControlField.constant(_tg(10), 0.0)
-        assert f.step_of(0.0) == 0
-        assert f.step_of(0.25) == 2
-        assert f.step_of(1.0) == 9  # terminal time clips to the last step
-        assert f.step_of(5.0) == 9
-        assert f.step_of(-1.0) == 0
-
-
 class TestConstantAndAnalytic:
     def test_constant_everywhere(self):
         f = ControlField.constant(_tg(), np.array([0.7]))

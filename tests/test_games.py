@@ -150,3 +150,65 @@ class TestMeasureStats:
         s = MeasureStats.point(np.array([3.0]))
         assert np.allclose(s.mean, [3.0])
         assert np.allclose(s.var, [0.0])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1000, 1), (1024, 3), (4097, 2)])
+    def test_from_cloud_has_the_bits_of_np_mean_and_var(self, shape):
+        cloud = 3.0 * np.random.default_rng(shape[0]).normal(size=shape) + 1.0
+        s = MeasureStats.from_cloud(cloud)
+        assert s.mean.shape == s.var.shape == (shape[1],)
+        assert np.array_equal(s.mean, cloud.mean(axis=0))
+        assert np.array_equal(s.var, cloud.var(axis=0))
+
+    def test_batch_axis_matches_each_cloud(self):
+        clouds = np.random.default_rng(4).normal(size=(3, 257, 2))
+        s = MeasureStats.from_cloud(clouds)
+        assert s.mean.shape == s.var.shape == (3, 1, 2)
+        for r in range(3):
+            one = MeasureStats.from_cloud(clouds[r])
+            assert np.array_equal(s.mean[r, 0], one.mean)
+            assert np.array_equal(s.var[r, 0], one.var)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError):
+            MeasureStats.from_cloud(np.zeros(4))
+        with pytest.raises(ValueError):
+            MeasureStats.from_cloud(np.zeros((2, 3, 4, 1)))
+
+
+class TestCoefficientsBroadcastOverBatches:
+    """Catalog coefficients read mean[..., 0], so one call serves a batch of
+    clouds with the same values as one call per cloud."""
+
+    def _clouds(self):
+        return np.random.default_rng(9).normal(0.3, 1.0, size=(3, 40, 1)) * np.array([1.0, -1.0, 0.5])[:, None, None]
+
+    def _per_cloud(self, f, clouds):
+        return np.stack([f(c, MeasureStats.from_cloud(c)) for c in clouds])
+
+    @pytest.mark.parametrize("factory", [sign_drift, monotone_lq])
+    def test_terminal_rewards(self, factory):
+        game = factory()
+        clouds = self._clouds()
+        batched = game.terminal(clouds, MeasureStats.from_cloud(clouds))
+        assert np.array_equal(batched, self._per_cloud(game.terminal, clouds))
+
+    @pytest.mark.parametrize("profile", ["linear", "sign", "sqrt", "zero"])
+    def test_mean_drift(self, profile):
+        game = mean_drift(profile=profile)
+        clouds = self._clouds()
+        a = np.zeros(clouds.shape)
+        batched = game.drift(0.5, clouds, MeasureStats.from_cloud(clouds), a)
+        assert batched.shape == clouds.shape
+        expect = self._per_cloud(lambda c, m: game.drift(0.5, c, m, np.zeros(c.shape)), clouds)
+        assert np.array_equal(batched, expect)
+
+    def test_sign_of_mean_feedback(self):
+        from mfglab.controls import sign_of_mean
+        from mfglab.grids import TimeGrid
+
+        fb = sign_of_mean(TimeGrid(1.0, 10))
+        clouds = self._clouds()
+        batched = fb.actions(5, 0.5, clouds, MeasureStats.from_cloud(clouds))
+        assert batched.shape == clouds.shape
+        assert np.array_equal(batched, self._per_cloud(lambda c, m: fb.actions(5, 0.5, c, m), clouds))
+        assert set(np.unique(batched[:, 0, 0])) == {-1.0, 1.0}

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from mfglab.grids import TimeGrid
-from mfglab.rng import BrownianBundle, derive_seed, initial_cloud, sample_brownian
+from mfglab.rng import _MASK63, BrownianBundle, _PhiloxStreams, derive_seed, initial_cloud, sample_brownian
+
+
+def _fresh_stream(seed, k):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
 
 
 class TestDeriveSeed:
@@ -17,6 +21,29 @@ class TestDeriveSeed:
         for k in range(50):
             s = derive_seed(123456789, "x", k)
             assert 0 <= s < 2**63
+
+    def test_pinned_values(self):
+        # seeds of existing int/str call sites; changing any of them moves
+        # every report derived from it
+        assert derive_seed(0, "sign", 64, 1) == 4209131927993354280
+        assert derive_seed(0, "sign-init", 1024, 199) == 6550253016308838899
+        assert derive_seed(7, "picard", 3) == 8280536339293756252
+        assert derive_seed(3, "x") == 8351595443763876939
+        assert derive_seed(5, "baseline", 0, 1) == 2671867500673313391
+        assert derive_seed(0, 43, "flow") == 4942455718684398590
+        assert derive_seed(2**63 - 1) == 564552578927878096
+
+    def test_numpy_ints_and_strs_give_the_same_seed(self):
+        assert derive_seed(0, "sign", np.int64(64), 1) == derive_seed(0, "sign", 64, 1)
+        assert derive_seed(np.uint64(7), "picard", np.int32(3)) == derive_seed(7, "picard", 3)
+        for r in np.arange(3):
+            assert derive_seed(0, "sign", 64, r) == derive_seed(0, "sign", 64, int(r))
+        assert derive_seed(3, np.str_("x")) == derive_seed(3, "x")
+
+    @pytest.mark.parametrize("args", [(0, 1.0), (0, "a", 2.5), (0, True), (0, None), (0, (1, 2)), (1.0, "a"), (True,)])
+    def test_rejects_other_types(self, args):
+        with pytest.raises(TypeError, match="must be"):
+            derive_seed(*args)
 
 
 class TestSampleBrownian:
@@ -64,6 +91,38 @@ class TestSampleBrownian:
         expect = b.increments.sum(axis=0) / np.sqrt(9)
         assert np.allclose(b.averaged(), expect)
 
+    @pytest.mark.parametrize("seed,n,M,dim", [(0, 1, 1, 1), (5, 17, 9, 1), (2**64 - 1, 4, 30, 3), (123, 64, 200, 2)])
+    def test_bits_match_a_fresh_philox_stream_per_particle(self, seed, n, M, dim):
+        tg = TimeGrid(2.0, M)
+        b = sample_brownian(seed, n, tg, dim)
+        for k in range(n):
+            expect = _fresh_stream(seed, k).standard_normal((M, dim)) * np.sqrt(tg.dt)
+            assert np.array_equal(b.increments[k], expect)
+
+    @pytest.mark.parametrize("k", [0, 2**32 - 1, 2**32, 2**40 + 3, 2**63 - 1, 2**64 - 1])
+    def test_rekeyed_stream_matches_a_fresh_one(self, k):
+        streams = _PhiloxStreams()
+        streams.stream(9, 1).standard_normal(5)  # leave state behind to be reset
+        streams.stream(9, 2).integers(0, 2**31, size=3)  # including a half-used 64-bit word
+        got = streams.stream(9, k)
+        fresh = _fresh_stream(9, k)
+        assert np.array_equal(got.standard_normal(33), fresh.standard_normal(33))
+        assert np.array_equal(got.integers(0, 10**9, size=7), fresh.integers(0, 10**9, size=7))
+
+    def test_out_receives_the_increments(self):
+        tg = TimeGrid(1.0, 12)
+        buf = np.zeros((3, 5, 12, 2))
+        b = sample_brownian(4, 5, tg, 2, out=buf[1])
+        assert np.shares_memory(b.increments, buf[1])
+        assert np.array_equal(buf[1], sample_brownian(4, 5, tg, 2).increments)
+        assert not buf[0].any() and not buf[2].any()
+
+    def test_out_must_fit(self):
+        tg = TimeGrid(1.0, 4)
+        for bad in (np.zeros((3, 5, 1)), np.zeros((3, 4, 1), dtype=np.float32), np.zeros((3, 8, 1))[:, ::2]):
+            with pytest.raises(ValueError, match="out must be"):
+                sample_brownian(1, 3, tg, 1, out=bad)
+
     def test_rejects_bad_args(self):
         tg = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
@@ -83,3 +142,7 @@ class TestInitialCloud:
     def test_seed_sensitivity(self):
         sampler = lambda gen, n: gen.normal(size=(n, 1))
         assert not np.array_equal(initial_cloud(4, 16, sampler), initial_cloud(5, 16, sampler))
+
+    def test_uses_the_dedicated_stream(self):
+        sampler = lambda gen, n: gen.normal(size=(n, 2))
+        assert np.array_equal(initial_cloud(2**64 - 1, 9, sampler), sampler(_fresh_stream(2**64 - 1, _MASK63), 9))

@@ -1,7 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from mfglab import games, scenarios
+from mfglab.controls import sign_of_mean
+from mfglab.grids import TimeGrid
+from mfglab.rng import derive_seed, initial_cloud, sample_brownian
 from mfglab.scenarios import (
     SCENARIOS,
     ScenarioReport,
@@ -9,6 +15,25 @@ from mfglab.scenarios import (
     run_monotone_uniqueness,
     run_sign_drift,
 )
+from mfglab.sim import simulate_nplayer
+
+
+def _oracle_mean_path(game, feedback, tgrid, n, seed, labels, r):
+    """One repetition the way the scenarios ran it before batching."""
+    bundle = sample_brownian(derive_seed(seed, labels[0], n, r), n, tgrid, 1)
+    x0 = initial_cloud(derive_seed(seed, labels[1], n, r), n, game.initial.sampler())
+    return simulate_nplayer(game, feedback, bundle, x0).states[:, :, 0].mean(axis=0)
+
+
+def _assert_rows_close(rows, expect):
+    assert len(rows) == len(expect)
+    for got, want in zip(rows, expect):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, int):
+                assert got[key] == value, key
+            else:
+                assert abs(got[key] - value) <= 1e-12, key
 
 
 class TestScenarioReport:
@@ -137,3 +162,80 @@ class TestMonotoneScenario:
         }
         assert all(row["converged"] == 1 for row in report.rows)
         assert any(key.startswith("residuals init") for key in report.curves)
+
+
+class TestBatchedRepetitions:
+    """Repetitions stepped in chunks against the one-at-a-time oracle."""
+
+    @pytest.mark.parametrize("t0,n_values,reps,n_steps,seed", [
+        (0.0, (16, 64), 7, 100, 3),
+        (0.3, (33,), 5, 60, 1),
+        (0.0, (1024,), 3, 500, 0),
+    ])
+    def test_sign_drift_rows_match_per_repetition_runs(self, t0, n_values, reps, n_steps, seed):
+        report = run_sign_drift(t0=t0, n_values=n_values, reps=reps, n_steps=n_steps, seed=seed)
+        tgrid = TimeGrid(1.0, n_steps)
+        game, feedback = games.sign_drift(), sign_of_mean(tgrid, start=t0)
+        ramp = np.maximum(tgrid.times - t0, 0.0)
+        expect = []
+        for n in n_values:
+            for r in range(reps):
+                mp = _oracle_mean_path(game, feedback, tgrid, n, seed, ("sign", "sign-init"), r)
+                dist = min(np.abs(mp - ramp).max(), np.abs(mp + ramp).max())
+                expect.append({"n": n, "rep": r, "mean_T": mp[-1], "abs_mean_T": abs(mp[-1]), "sq_mean_T": mp[-1] ** 2,
+                               "near_ramp": int(dist <= 0.2), "ramp_dist": dist})
+        _assert_rows_close(report.rows, expect)
+
+    @pytest.mark.parametrize("profile", ["linear", "sign", "zero"])
+    def test_mean_drift_rows_match_per_repetition_runs(self, profile):
+        n_values, reps, n_steps, seed = (16, 50), 6, 80, 2
+        report = run_mean_drift(profile=profile, n_values=n_values, reps=reps, n_steps=n_steps, seed=seed)
+        tgrid = TimeGrid(1.0, n_steps)
+        game = games.mean_drift(profile=profile, x0=1.0 if profile == "linear" else 0.0)
+        oracle = report.curves["ode oracle"][1]
+        expect = []
+        for n in n_values:
+            for r in range(reps):
+                mp = _oracle_mean_path(game, sign_of_mean(tgrid, start=2.0), tgrid, n, seed, ("mdrift", "mdrift-init"), r)
+                err = np.abs(mp - oracle).max()
+                if profile == "sign":
+                    err = min(err, np.abs(mp + oracle).max())
+                expect.append({"n": n, "rep": r, "mean_T": mp[-1], "sup_err": err, "sup_abs_mean": np.abs(mp).max()})
+        _assert_rows_close(report.rows, expect)
+
+    def test_chunking_does_not_change_rows(self, monkeypatch):
+        kw = dict(n_values=(16, 40), reps=9, n_steps=50, seed=5)
+        reports = []
+        for reps_per_chunk in (1, 2, 4, 9):
+            monkeypatch.setattr(scenarios, "_CHUNK_NOISE_BYTES", reps_per_chunk * 40 * 50 * 8)
+            assert len(scenarios._rep_chunks(9, 40, 50)) == -(-9 // reps_per_chunk)
+            reports.append(run_sign_drift(**kw))
+        for other in reports[1:]:
+            assert other.rows == reports[0].rows
+            assert other.summary == reports[0].summary
+
+    def test_chunks_cover_repetitions_in_order(self):
+        assert scenarios._rep_chunks(5, 10**9, 1000) == [range(r, r + 1) for r in range(5)]
+        chunks = scenarios._rep_chunks(200, 1024, 1000)
+        assert [r for c in chunks for r in c] == list(range(200))
+        assert max(len(c) for c in chunks) * 1024 * 1000 * 8 <= scenarios._CHUNK_NOISE_BYTES
+
+    def test_at_least_one_repetition(self):
+        with pytest.raises(ValueError, match="reps"):
+            run_sign_drift(n_values=(8,), reps=0, n_steps=10)
+
+    def test_non_finite_drift_names_the_scenario_repetition(self, monkeypatch):
+        # drift turns NaN once a repetition's mean passes 0.5, which only
+        # repetitions on the upper ramp reach; with one repetition per chunk
+        # the first of them fails, and the error must give its own number
+        tgrid = TimeGrid(1.0, 50)
+        base = games.sign_drift()
+        game = dataclasses.replace(base, drift=lambda t, x, m, a: a + np.where(m.mean[..., :1] > 0.5, np.nan, 0.0))
+        feedback = sign_of_mean(tgrid)
+        # up to the first NaN the bad game steps exactly like the base game
+        paths = [_oracle_mean_path(base, feedback, tgrid, 8, 1, ("sign", "sign-init"), r) for r in range(6)]
+        first_up = next(r for r, mp in enumerate(paths) if mp[:-1].max() > 0.5)
+        assert first_up > 0  # so the repetition number is not the chunk-local 0
+        monkeypatch.setattr(scenarios, "_CHUNK_NOISE_BYTES", 8 * 50 * 8)
+        with pytest.raises(FloatingPointError, match=rf"repetition {first_up}, particle 0, state"):
+            scenarios._nplayer_mean_paths(game, feedback, tgrid, 8, 6, 1, ("sign", "sign-init"), 1)

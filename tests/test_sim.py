@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
 
-from mfglab.controls import ControlField, sign_of_mean
-from mfglab.games import GameSpec, InitialLaw, action_square, driftless, sign_drift, tracking_lq
-from mfglab.grids import TimeGrid
+from mfglab.controls import ControlField, sign_of_mean, sign_of_state
+from mfglab.games import GameSpec, InitialLaw, MeasureStats, action_square, driftless, mean_drift, sign_drift, tracking_lq
+from mfglab.grids import ActionGrid, TimeGrid
 from mfglab.measures import DeterministicFlow, EmpiricalFlow
+from mfglab.relaxed import constant_relaxed
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
-from mfglab.sim import integrate_paths, path_payoffs, simulate_frozen_flow, simulate_nplayer
+from mfglab.sim import (
+    _feedback_groups,
+    control_drift,
+    euler,
+    integrate_paths,
+    nplayer_drift,
+    path_payoffs,
+    simulate_frozen_flow,
+    simulate_nplayer,
+)
 
 
 def _setup(game, n, n_steps, seed=0):
@@ -158,3 +168,181 @@ class TestPayoffs:
         assert np.allclose(ens.states, x0[:, None, :] + bundle.partial_sums(), atol=1e-12)
         pays = path_payoffs(game, ens, rel)
         assert np.allclose(pays, game.horizon, atol=1e-12)
+
+
+# The three stepping loops as they stood before they were merged into
+# euler(); the public simulators must reproduce them bit for bit.
+
+def _oracle_nplayer(game, feedbacks, bundle, init):
+    n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
+    init = np.asarray(init, dtype=float)
+    groups = _feedback_groups(feedbacks, n)
+    dt, times = bundle.grid.dt, bundle.grid.times
+    states = np.empty((n, M + 1, d))
+    drifts = np.empty((n, M, d))
+    states[:, 0] = init
+    x = init
+    for j in range(M):
+        stats = MeasureStats(mean=x.mean(axis=0), var=x.var(axis=0))
+        for field, idx in groups:
+            drifts[idx, j] = control_drift(game, field, j, times[j], x[idx], stats)
+        x = x + drifts[:, j] * dt + bundle.increments[:, j]
+        states[:, j + 1] = x
+    return states, drifts
+
+
+def _oracle_frozen(game, control, flow, bundle, init):
+    n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
+    stats_path = flow.stats_path()
+    dt, times = bundle.grid.dt, bundle.grid.times
+    states = np.empty((n, M + 1, d))
+    drifts = np.empty((n, M, d))
+    states[:, 0] = init
+    x = init
+    for j in range(M):
+        drifts[:, j] = control_drift(game, control, j, times[j], x, stats_path[j])
+        x = x + drifts[:, j] * dt + bundle.increments[:, j]
+        states[:, j + 1] = x
+    return states, drifts
+
+
+def _oracle_integrate(drift, bundle, init):
+    n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
+    dt = bundle.grid.dt
+    states = np.empty((n, M + 1, d))
+    drifts = np.empty((n, M, d))
+    states[:, 0] = init
+    x = init
+    for j in range(M):
+        drifts[:, j] = drift[:, j] if not callable(drift) else drift(j, x)
+        x = x + drifts[:, j] * dt + bundle.increments[:, j]
+        states[:, j + 1] = x
+    return states, drifts
+
+
+def _same_bits(ens, oracle):
+    states, drifts = oracle
+    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.drifts, drifts)
+
+
+class TestWrappersMatchPreMergeLoops:
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_nplayer_shared_field(self, n):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, n, 60, seed=n)
+        fb = sign_of_mean(tg, start=0.2)
+        _same_bits(simulate_nplayer(game, fb, bundle, x0), _oracle_nplayer(game, fb, bundle, x0))
+
+    def test_nplayer_mean_interaction(self):
+        game = mean_drift(profile="linear", x0=1.0)
+        tg, bundle, x0 = _setup(game, 100, 80, seed=5)
+        fb = sign_of_mean(tg, start=2.0)
+        _same_bits(simulate_nplayer(game, fb, bundle, x0), _oracle_nplayer(game, fb, bundle, x0))
+
+    def test_nplayer_per_player_family(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 9, 40, seed=2)
+        fields = [sign_of_mean(tg), sign_of_state(tg, start=0.1), ControlField.constant(tg, -0.3)]
+        family = [fields[k % 3] for k in range(9)]
+        _same_bits(simulate_nplayer(game, family, bundle, x0), _oracle_nplayer(game, family, bundle, x0))
+
+    def test_frozen_flow_analytic_and_relaxed(self):
+        game = action_square(reward_sign=1.0)
+        tg, bundle, x0 = _setup(game, 50, 30, seed=3)
+        flow = DeterministicFlow(tg, 0.5 * tg.times)
+        ag = ActionGrid(np.array([-1.0]), np.array([1.0]), 3)
+        rows = np.random.default_rng(0).dirichlet(np.ones(3), size=30)
+        for control in (sign_of_mean(tg), constant_relaxed(tg, ag, rows)):
+            _same_bits(simulate_frozen_flow(game, control, flow, bundle, x0),
+                       _oracle_frozen(game, control, flow, bundle, x0))
+
+    def test_integrate_paths_array_and_callable(self):
+        tg = TimeGrid(1.0, 25)
+        bundle = sample_brownian(11, 30, tg, 2)
+        init = np.random.default_rng(1).normal(size=(30, 2))
+        table = np.random.default_rng(2).normal(size=(30, 25, 2))
+        _same_bits(integrate_paths(table, bundle, init), _oracle_integrate(table, bundle, init))
+        fn = lambda j, x: np.tanh(x) * (j % 3)
+        _same_bits(integrate_paths(fn, bundle, init), _oracle_integrate(fn, bundle, init))
+
+
+def _batch(game, n, n_steps, reps, seed=0):
+    tg = TimeGrid(game.horizon, n_steps)
+    bundles = [sample_brownian(derive_seed(seed, "bw", r), n, tg, game.dim) for r in range(reps)]
+    inits = [initial_cloud(derive_seed(seed, "bx", r), n, game.initial.sampler()) for r in range(reps)]
+    return tg, bundles, inits
+
+
+class TestBatchedEuler:
+    @pytest.mark.parametrize("profile", ["sign", "linear"])
+    def test_batch_steps_each_repetition_as_alone(self, profile):
+        # stepped together, each repetition still sees only its own cloud
+        game = mean_drift(profile=profile, x0=0.0)
+        tg, bundles, inits = _batch(game, 64, 50, 3)
+        drift = nplayer_drift(game, sign_of_mean(tg, start=2.0), tg, 64)
+        noise = np.stack([b.increments for b in bundles])
+        states, drifts = euler(drift, noise, np.stack(inits), tg)
+        means = euler(drift, noise, np.stack(inits), tg, record="mean")
+        assert means.shape == (3, 51, 1)
+        for r in range(3):
+            alone = simulate_nplayer(game, sign_of_mean(tg, start=2.0), bundles[r], inits[r])
+            assert np.array_equal(states[r], alone.states)
+            assert np.array_equal(drifts[r], alone.drifts)
+            assert np.allclose(means[r], alone.states.mean(axis=0), rtol=0.0, atol=1e-12)
+
+    def test_sign_feedback_batch_matches_single_runs(self):
+        game = sign_drift()
+        tg, bundles, inits = _batch(game, 33, 40, 4, seed=8)
+        fb = sign_of_mean(tg)
+        states, _ = euler(nplayer_drift(game, fb, tg, 33), np.stack([b.increments for b in bundles]),
+                          np.stack(inits), tg)
+        for r in range(4):
+            assert np.array_equal(states[r], simulate_nplayer(game, fb, bundles[r], inits[r]).states)
+
+    def test_rejects_mismatched_shapes_and_modes(self):
+        tg = TimeGrid(1.0, 5)
+        fill = lambda j, x, out: out.fill(0.0)
+        with pytest.raises(ValueError):
+            euler(fill, np.zeros((2, 3, 4, 1)), np.zeros((2, 3, 1)), tg)
+        with pytest.raises(ValueError):
+            euler(fill, np.zeros((2, 3, 5, 1)), np.zeros((3, 3, 1)), tg)
+        with pytest.raises(ValueError):
+            euler(fill, np.zeros((2, 3, 5, 1)), np.zeros((2, 3, 1)), tg, record="states")
+
+    def test_non_finite_drift_names_time_repetition_particle_state(self):
+        tg = TimeGrid(1.0, 10)
+
+        def fill(j, x, out):
+            out[...] = 1.0
+            if j == 6:
+                out[1, 3, 0] = np.inf
+
+        noise = np.zeros((3, 5, 10, 1))
+        x0 = np.zeros((3, 5, 1))
+        with pytest.raises(FloatingPointError, match=r"t=0\.6, repetition 41, particle 3, state \[0\.6\]"):
+            euler(fill, noise, x0, tg, record="mean", first_rep=40)
+        with pytest.raises(FloatingPointError, match=r"t=0\.6, repetition 1, particle 3"):
+            euler(fill, noise, x0, tg)
+
+    def test_non_finite_drift_in_coupled_batch(self):
+        law = InitialLaw("point", [0.0], [0.0])
+
+        def bad_drift(t, x, m, a):
+            return np.where(m.mean[..., :1] > 0.05, np.nan, 1.0) + 0.0 * x
+
+        game = GameSpec(
+            name="bad", dim=1, action_dim=1, action_lo=[0.0], action_hi=[0.0],
+            horizon=1.0, initial=law, drift=bad_drift,
+            running=lambda t, x, m, a: np.zeros(x.shape[:-1]),
+            terminal=lambda x, m: np.zeros(x.shape[:-1]),
+            drift_bound=1.0, running_bound=0.0, terminal_bound=0.0,
+            state_lo=[-5.0], state_hi=[5.0],
+        )
+        tg = TimeGrid(1.0, 20)
+        noise = np.zeros((2, 4, 20, 1))
+        x0 = np.zeros((2, 4, 1))
+        x0[1] = 0.1  # only the second repetition's mean is past the threshold
+        drift = nplayer_drift(game, ControlField.constant(tg, 0.0), tg, 4)
+        with pytest.raises(FloatingPointError, match=r"t=0, repetition 1, particle 0, state \[0\.1\]"):
+            euler(drift, noise, x0, tg, record="mean")
