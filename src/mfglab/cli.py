@@ -71,18 +71,41 @@ def _validate(config: dict) -> list:
 
 
 def _param_errors(scenario: str, params: dict) -> list:
-    """Names in params that the scenario's runner does not take as a parameter."""
+    """Names in params that the scenario's runner does not take, and values of the wrong kind."""
     sig = inspect.signature(SCENARIOS[scenario]).parameters.values()
     open_ended = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in sig)  # a wrapper: cannot tell
-    accepted = [p.name for p in sig if p.kind is inspect.Parameter.KEYWORD_ONLY and p.name not in ("seed", "threads")]
+    accepted = {p.name: p.default for p in sig if p.kind is inspect.Parameter.KEYWORD_ONLY and p.name not in ("seed", "threads")}
     msgs = []
     for key in sorted(params):
         if key in ("seed", "threads"):
             msgs.append(f"config error at params.{key}: set {key} at the top level, not under params")
-        elif key not in accepted and not open_ended:
+        elif key in accepted:
+            msgs += _kind_errors(f"params.{key}", params[key], accepted[key])
+        elif not open_ended:
             msgs.append(f"config error at params.{key}: scenario {scenario!r} has no parameter {key!r}; "
                         f"it takes {', '.join(accepted)}")
     return msgs
+
+
+_KINDS = ((bool, (bool,), "a boolean"), (int, (int,), "an integer"), (float, (int, float), "a number"), (str, (str,), "a string"))
+
+
+def _kind_errors(where: str, value, default) -> list:
+    """Messages for a JSON value that lacks the kind of the runner's default.
+
+    Kinds are boolean, integer, number (an int or a float) and string; a
+    tuple default takes a list whose entries have the kind of its first entry.
+    """
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            return [f"config error at {where}: expected a list, got {type(value).__name__} {value!r}"]
+        return [m for i, v in enumerate(value) for m in _kind_errors(f"{where}[{i}]", v, default[0])] if default else []
+    for kind, fits, name in _KINDS:
+        if isinstance(default, kind):
+            if isinstance(value, fits) and isinstance(value, bool) == (kind is bool):
+                return []
+            return [f"config error at {where}: expected {name}, got {type(value).__name__} {value!r}"]
+    return []
 
 
 def _env_threads() -> int:

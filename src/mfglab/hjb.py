@@ -20,7 +20,7 @@ from .controls import ControlField
 from .games import GameSpec
 from .grids import ActionGrid, SpatialGrid, TimeGrid
 from .rng import BrownianBundle
-from .sim import path_payoffs, simulate_frozen_flow
+from .sim import atom_values, path_payoffs, simulate_frozen_flow
 
 
 class CFLError(RuntimeError):
@@ -87,20 +87,6 @@ class HJBSolution:
     control: ControlField
 
 
-def _shifted(V: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """V shifted along an axis with the edge value replicated (Neumann ghost)."""
-    lead = [slice(None)] * V.ndim
-    if step == +1:
-        lead[axis] = slice(1, None)
-        body = V[tuple(lead)]
-        lead[axis] = slice(-1, None)
-        return np.concatenate([body, V[tuple(lead)]], axis=axis)
-    lead[axis] = slice(None, -1)
-    body = V[tuple(lead)]
-    lead[axis] = slice(None, 1)
-    return np.concatenate([V[tuple(lead)], body], axis=axis)
-
-
 def solve_hjb(
     game: GameSpec,
     flow,
@@ -136,6 +122,11 @@ def solve_hjb(
     spacing = sgrid.spacing
     atoms = agrid.atoms
     nA = atoms.shape[0]
+    # V padded by one copied edge node on every side (Neumann ghosts); the
+    # neighbours along an axis are slices of it, interior on the other axes
+    inner = [slice(1, -1)] * sgrid.dim
+    up = [tuple(inner[:ax] + [slice(2, None)] + inner[ax + 1 :]) for ax in range(sgrid.dim)]
+    down = [tuple(inner[:ax] + [slice(None, -2)] + inner[ax + 1 :]) for ax in range(sgrid.dim)]
 
     stats_T = stats_path[M]
     V = np.asarray(game.terminal(nodes, stats_T), dtype=float).reshape(space)
@@ -149,30 +140,20 @@ def solve_hjb(
     for j in range(M - 1, -1, -1):
         t = times[j]
         stats = stats_path[j]
+        B = atom_values(game.drift, t, nodes, stats, atoms).reshape((nA,) + space + (sgrid.dim,))
+        F = atom_values(game.running, t, nodes, stats, atoms).reshape((nA,) + space)
 
-        # action-independent diffusion part: centered Laplacian, copied edges
+        # centered Laplacian (action-independent) and upwinded convection,
+        # the latter for all atoms at once
+        Vp = np.pad(V, 1, mode="edge")
         lap = np.zeros(space)
+        conv = np.zeros((nA,) + space)
         for ax in range(sgrid.dim):
-            h2 = spacing[ax] ** 2
-            lap += (_shifted(V, ax, +1) - 2.0 * V + _shifted(V, ax, -1)) / h2
-
-        dplus = [(_shifted(V, ax, +1) - V) / spacing[ax] for ax in range(sgrid.dim)]
-        dminus = [(V - _shifted(V, ax, -1)) / spacing[ax] for ax in range(sgrid.dim)]
-
-        H = np.empty((nA,) + space)
-        B = np.empty((nA,) + space + (sgrid.dim,))
-        F = np.empty((nA,) + space)
-        for i in range(nA):
-            a = np.broadcast_to(atoms[i], nodes.shape[:-1] + (atoms.shape[1],))
-            b = np.asarray(game.drift(t, nodes, stats, a), dtype=float).reshape(space + (sgrid.dim,))
-            f = np.asarray(game.running(t, nodes, stats, a), dtype=float).reshape(space)
-            conv = np.zeros(space)
-            for ax in range(sgrid.dim):
-                bax = b[..., ax]
-                conv += np.maximum(bax, 0.0) * dplus[ax] - np.maximum(-bax, 0.0) * dminus[ax]
-            H[i] = conv + f
-            B[i] = b
-            F[i] = f
+            V_up, V_down = Vp[up[ax]], Vp[down[ax]]
+            lap += (V_up - 2.0 * V + V_down) / spacing[ax] ** 2
+            b = B[..., ax]
+            conv += np.maximum(b, 0.0) * ((V_up - V) / spacing[ax]) - np.maximum(-b, 0.0) * ((V - V_down) / spacing[ax])
+        H = conv + F
 
         if not np.isfinite(H).all():
             raise FloatingPointError(f"coefficients produced a non-finite Hamiltonian at t={t:.6g}")

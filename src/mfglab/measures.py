@@ -9,12 +9,11 @@ equal-width binning. Distances between flows take the worst time slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .games import MeasureStats
 from .grids import TimeGrid
+from .rng import philox
 
 
 class EmpiricalFlow:
@@ -28,7 +27,6 @@ class EmpiricalFlow:
             raise ValueError(f"flow needs {grid.n_steps + 1} time slices, got {samples.shape[0]}")
         self.grid = grid
         self.samples = samples
-        self._sorted = None
         self._stats = None
 
     @classmethod
@@ -50,13 +48,6 @@ class EmpiricalFlow:
 
     def cloud(self, j: int) -> np.ndarray:
         return self.samples[j]
-
-    def sorted1d(self, j: int) -> np.ndarray:
-        if self.dim != 1:
-            raise ValueError("sorted marginals only exist in one dimension")
-        if self._sorted is None:
-            self._sorted = np.sort(self.samples[:, :, 0], axis=1)
-        return self._sorted[j]
 
     def stats_path(self) -> list:
         if self._stats is None:
@@ -192,8 +183,7 @@ def tv_binned(a, b, bins=100) -> float:
 
 def sliced_directions(dim: int, n_directions: int = 32, seed: int = 0) -> np.ndarray:
     """Fixed seeded unit vectors used by the sliced distance, (n_directions, dim)."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([np.uint64(seed), np.uint64(dim)], dtype=np.uint64)))
-    v = gen.standard_normal((n_directions, dim))
+    v = philox(seed, dim).standard_normal((n_directions, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -230,7 +220,7 @@ def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow, metric: str = "w1") -> f
         raise KeyError(f"unknown metric {metric!r}; choose from {sorted(_METRICS) + ['sliced_w1']}")
     dist = _METRICS[metric]
     if metric in ("w1", "w1_trunc") and fa.dim == 1:
-        # reuse cached sorts: equal sizes reduce to mean |sorted difference|
+        # equal sizes reduce to mean |sorted difference|, one sort per flow
         if fa.n_particles == fb.n_particles:
             per_slice = np.abs(np.sort(fa.samples[:, :, 0], axis=1) - np.sort(fb.samples[:, :, 0], axis=1))
             if metric == "w1_trunc":

@@ -18,7 +18,7 @@ from .games import GameSpec
 from .grids import ActionGrid, SpatialGrid, TimeGrid
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import EmpiricalFlow, flow_distance
-from .rng import derive_seed, initial_cloud, sample_brownian
+from .rng import derive_seed, initial_cloud, philox, sample_brownian
 from .sim import simulate_frozen_flow
 
 
@@ -99,7 +99,7 @@ def picard_mfe(
         fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
 
         n_new = int(round(damping * n_particles))
-        mixer = np.random.Generator(np.random.Philox(key=np.array([np.uint64(derive_seed(seed, "mix", k)), np.uint64(0)], dtype=np.uint64)))
+        mixer = philox(derive_seed(seed, "mix", k), 0)
         take_new = mixer.choice(n_particles, size=n_new, replace=False)
         take_old = mixer.choice(n_particles, size=n_particles - n_new, replace=False)
         mixed = EmpiricalFlow(tgrid, np.concatenate([fresh.samples[:, take_new, :], flow.samples[:, take_old, :]], axis=1))
@@ -203,7 +203,7 @@ def check_monotonicity(game: GameSpec, *, trials: int = 200, n_samples: int = 40
     f1, _ = game.running_split
     from .games import MeasureStats
 
-    gen = np.random.Generator(np.random.Philox(key=np.array([np.uint64(derive_seed(seed, "monotone")), np.uint64(0)], dtype=np.uint64)))
+    gen = philox(derive_seed(seed, "monotone"), 0)
     violations = 0
     worst = -np.inf
     rows = []

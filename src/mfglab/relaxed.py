@@ -22,6 +22,7 @@ from .controls import ControlField
 from .games import GameSpec
 from .grids import ActionGrid, SpatialGrid, TimeGrid
 from .measures import sliced_wasserstein1
+from .sim import atom_values
 
 
 def constant_relaxed(tgrid: TimeGrid, agrid: ActionGrid, probs, name: str = "") -> ControlField:
@@ -242,12 +243,8 @@ def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_appro
     worst_loss = 0.0
     for j in range(M):
         stats = stats_path[j]
-        b = np.empty((nA, P, game.dim))
-        f = np.empty((nA, P))
-        for i in range(nA):
-            a = np.broadcast_to(atoms[i], (P, atoms.shape[1]))
-            b[i] = np.asarray(game.drift(times[j], nodes, stats, a), dtype=float).reshape(P, game.dim)
-            f[i] = np.asarray(game.running(times[j], nodes, stats, a), dtype=float).reshape(P)
+        b = atom_values(game.drift, times[j], nodes, stats, atoms).reshape(nA, P, game.dim)
+        f = atom_values(game.running, times[j], nodes, stats, atoms).reshape(nA, P)
         probs = relaxed.values[j].reshape(P, nA)
         target_b = np.einsum("pi,ipd->pd", probs, b)
         target_f = np.einsum("pi,ip->p", probs, f)

@@ -40,33 +40,6 @@ def write_csv(path, header, rows) -> None:
                 writer.writerow([fmt(v) for v in row])
 
 
-def flow_to_csv(flow, path) -> None:
-    """Long-format flow dump: one row per (time index, particle)."""
-    dim = flow.dim
-    header = ["time_index", "time", "particle"] + [f"x{i}" for i in range(dim)]
-    times = flow.grid.times
-
-    def rows():
-        for j in range(flow.grid.n_steps + 1):
-            cloud = flow.cloud(j)
-            for k in range(cloud.shape[0]):
-                yield [j, times[j], k] + [cloud[k, i] for i in range(dim)]
-
-    write_csv(path, header, rows())
-
-
-def drift_table_to_csv(table, path) -> None:
-    header = ["time_index", "bin", "bin_center", "value", "count", "fallback"]
-    centers = 0.5 * (table.edges[:-1] + table.edges[1:])
-
-    def rows():
-        for j in range(table.values.shape[0]):
-            for b in range(table.n_bins):
-                yield [j, b, centers[b], table.values[j, b, 0], int(table.counts[j, b]), bool(table.fallback[j, b])]
-
-    write_csv(path, header, rows())
-
-
 def config_hash(config: dict) -> str:
     """Stable hash of a JSON-serializable configuration."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))

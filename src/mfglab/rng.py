@@ -115,6 +115,15 @@ def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.
     return BrownianBundle(seed=seed, grid=grid, n=n, dim=dim, increments=out)
 
 
+def philox(seed: int, k: int) -> np.random.Generator:
+    """A generator on the Philox stream keyed by (seed, k).
+
+    It draws the bits of a freshly constructed np.random.Philox(key=[seed, k]);
+    every seeded generator in the package comes from here.
+    """
+    return _PhiloxStreams().stream(seed, k)
+
+
 def initial_cloud(seed: int, n: int, sampler) -> np.ndarray:
     """Draw n initial states from a sampler(generator, n) using a dedicated stream."""
-    return sampler(_PhiloxStreams().stream(seed, _MASK63), n)
+    return sampler(philox(seed, _MASK63), n)

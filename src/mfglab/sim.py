@@ -63,36 +63,42 @@ def _check_finite(values: np.ndarray, what: str, t: float, x: np.ndarray, first_
         )
 
 
+def atom_values(coef, t: float, x: np.ndarray, stats: MeasureStats, atoms: np.ndarray) -> np.ndarray:
+    """A game coefficient (game.drift or game.running) at every action atom.
+
+    coef is called once per atom, with the atom broadcast against the states
+    x (..., d), so coefficients that broadcast only against x work too; the
+    results are stacked on a leading atom axis, shaped (n_atoms, ...).
+    """
+    n_atoms, k = atoms.shape
+    per_atom = np.broadcast_to(atoms.reshape((n_atoms,) + (1,) * (x.ndim - 1) + (k,)), (n_atoms,) + x.shape[:-1] + (k,))
+    return np.array([coef(t, x, stats, a) for a in per_atom], dtype=float)
+
+
+def _controlled(coef, control: ControlField, j: int, t: float, x: np.ndarray, stats: MeasureStats) -> np.ndarray:
+    """coef under one control at one step; relaxed controls average it over their atoms."""
+    if not control.is_relaxed:
+        return coef(t, x, stats, control.actions(j, t, x, stats))
+    values = atom_values(coef, t, x, stats, control.agrid.atoms)
+    weights = np.moveaxis(control.probabilities(j, x), -1, 0)
+    weights = weights.reshape(weights.shape + (1,) * (values.ndim - weights.ndim))
+    # Python's sum adds the atoms one by one, in order; np.add.reduce sums
+    # them pairwise when x holds a single state, which changes the last bits
+    return sum(weights * values)
+
+
 def control_drift(game: GameSpec, control: ControlField, j: int, t: float, x: np.ndarray, stats: MeasureStats) -> np.ndarray:
     """Realized drift (n, d) of one control at one step.
 
     Relaxed controls contribute the probability-weighted average of the drift
     over their action atoms.
     """
-    if control.is_relaxed:
-        probs = control.probabilities(j, x)
-        atoms = control.agrid.atoms
-        out = np.zeros_like(x)
-        for i in range(atoms.shape[0]):
-            a = np.broadcast_to(atoms[i], x.shape[:-1] + (atoms.shape[1],))
-            out += probs[..., i : i + 1] * game.drift(t, x, stats, a)
-        return out
-    a = control.actions(j, t, x, stats)
-    return game.drift(t, x, stats, a)
+    return _controlled(game.drift, control, j, t, x, stats)
 
 
 def control_running(game: GameSpec, control: ControlField, j: int, t: float, x: np.ndarray, stats: MeasureStats) -> np.ndarray:
     """Realized running reward (n,) of one control at one step."""
-    if control.is_relaxed:
-        probs = control.probabilities(j, x)
-        atoms = control.agrid.atoms
-        out = np.zeros(x.shape[:-1])
-        for i in range(atoms.shape[0]):
-            a = np.broadcast_to(atoms[i], x.shape[:-1] + (atoms.shape[1],))
-            out += probs[..., i] * game.running(t, x, stats, a)
-        return out
-    a = control.actions(j, t, x, stats)
-    return game.running(t, x, stats, a)
+    return _controlled(game.running, control, j, t, x, stats)
 
 
 def _feedback_groups(feedbacks, n: int):

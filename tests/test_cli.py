@@ -107,6 +107,23 @@ class TestRun:
         assert "reps" in err  # the accepted names are listed
         assert not (tmp_path / "x").exists()
 
+    def test_parameter_of_the_wrong_kind_names_the_field(self, tmp_path, capsys):
+        assert main(["run", "sign_drift", "--set", "params.reps=abc", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "config error at params.reps: expected an integer, got str 'abc'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_scalar_for_a_list_parameter_names_the_field(self, tmp_path, capsys):
+        assert main(["run", "sign_drift", "--set", "params.n_values=8", "--out", str(tmp_path / "x")]) == 1
+        assert "config error at params.n_values: expected a list, got int 8" in capsys.readouterr().err
+        assert main(["run", "sign_drift", "--set", "params.n_values=[8, 2.5]", "--set", "params.t0=true",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "config error at params.n_values[1]: expected an integer, got float 2.5" in err
+        assert "config error at params.t0: expected a number, got bool True" in err
+        assert not (tmp_path / "x").exists()
+
     def test_seed_under_params_is_refused(self, tmp_path, capsys):
         assert main(["run", "mean_drift", "--set", "params.seed=3", "--out", str(tmp_path / "x")] + FAST_ZERO) == 1
         assert "config error at params.seed:" in capsys.readouterr().err

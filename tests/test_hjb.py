@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfglab.controls import ControlField, sign_of_mean
-from mfglab.games import GameSpec, InitialLaw, sign_drift, tracking_lq
+from mfglab.games import GameSpec, InitialLaw, make_game, sign_drift, tracking_lq
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.hjb import (
     CFLError,
@@ -16,6 +16,7 @@ from mfglab.hjb import (
     stable_spatial_grid,
 )
 from mfglab.measures import DeterministicFlow
+from mfglab.mfe import candidate_flow
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
 
 
@@ -243,3 +244,119 @@ class TestEvaluatePayoff:
         for rival in (ControlField.constant(tg, -1.0), ControlField.constant(tg, 0.0), sign_of_mean(tg)):
             val, se_r = evaluate_payoff(game, _ramp_flow(tg), rival, bundle, x0)
             assert best >= val - 3 * (se_b + se_r) - 0.05
+
+
+# solve_hjb as it stood with a per-atom Hamiltonian loop and a shifted copy
+# of V per axis and direction; the atom-table and padded-stencil version must
+# reproduce it bit for bit.
+
+def _shifted(V, axis, step):
+    lead = [slice(None)] * V.ndim
+    if step == +1:
+        lead[axis] = slice(1, None)
+        body = V[tuple(lead)]
+        lead[axis] = slice(-1, None)
+        return np.concatenate([body, V[tuple(lead)]], axis=axis)
+    lead[axis] = slice(None, -1)
+    body = V[tuple(lead)]
+    lead[axis] = slice(None, 1)
+    return np.concatenate([V[tuple(lead)], body], axis=axis)
+
+
+def _oracle_solve_hjb(game, flow, sgrid, agrid, tie_tol=0.0, tie_break="lowest"):
+    tgrid = flow.grid
+    M, dt, times = tgrid.n_steps, tgrid.dt, tgrid.times
+    stats_path = flow.stats_path()
+    nodes, space, spacing = sgrid.nodes(), sgrid.shape, sgrid.spacing
+    atoms = agrid.atoms
+    nA = atoms.shape[0]
+    V = np.asarray(game.terminal(nodes, stats_path[M]), dtype=float).reshape(space)
+    values = np.empty((M + 1,) + space)
+    values[M] = V
+    control_values = np.empty((M,) + space + (atoms.shape[1],))
+    for j in range(M - 1, -1, -1):
+        t, stats = times[j], stats_path[j]
+        lap = np.zeros(space)
+        for ax in range(sgrid.dim):
+            lap += (_shifted(V, ax, +1) - 2.0 * V + _shifted(V, ax, -1)) / spacing[ax] ** 2
+        dplus = [(_shifted(V, ax, +1) - V) / spacing[ax] for ax in range(sgrid.dim)]
+        dminus = [(V - _shifted(V, ax, -1)) / spacing[ax] for ax in range(sgrid.dim)]
+        H = np.empty((nA,) + space)
+        B = np.empty((nA,) + space + (sgrid.dim,))
+        F = np.empty((nA,) + space)
+        for i in range(nA):
+            a = np.broadcast_to(atoms[i], nodes.shape[:-1] + (atoms.shape[1],))
+            b = np.asarray(game.drift(t, nodes, stats, a), dtype=float).reshape(space + (sgrid.dim,))
+            f = np.asarray(game.running(t, nodes, stats, a), dtype=float).reshape(space)
+            conv = np.zeros(space)
+            for ax in range(sgrid.dim):
+                bax = b[..., ax]
+                conv += np.maximum(bax, 0.0) * dplus[ax] - np.maximum(-bax, 0.0) * dminus[ax]
+            H[i] = conv + f
+            B[i] = b
+            F[i] = f
+        Hmax = H.max(axis=0)
+        if tie_break == "lowest" or tie_tol == 0.0:
+            sel = np.argmax(H >= Hmax - tie_tol, axis=0) if tie_tol > 0.0 else H.argmax(axis=0)
+        else:
+            tied = H >= Hmax - tie_tol
+            target = np.einsum("i...,i...k->...k", tied / tied.sum(axis=0), B)
+            mismatch = np.where(tied, np.abs(B - target).max(axis=-1), np.inf)
+            candidate = tied & (mismatch <= mismatch.min(axis=0) + 1e-12)
+            sel = np.where(candidate, F, -np.inf).argmax(axis=0)
+        control_values[j] = atoms[sel]
+        V = V + dt * (0.5 * lap + Hmax)
+        values[j] = V
+    return values, control_values
+
+
+def _planar_game():
+    """Two-dimensional state and action with axis-dependent coefficients, so
+    each stencil axis sees its own spacing, drift and curvature."""
+    def drift(t, x, m, a):
+        return a * (1.0 + 0.2 * np.sin(x + t))
+
+    def running(t, x, m, a):
+        return -0.5 * np.sum(a * a, axis=-1) + 0.3 * x[..., 1] * m.mean[..., 0] - 0.1 * a[..., 0] * x[..., 0]
+
+    def terminal(x, m):
+        return x[..., 0] * m.mean[..., 1] + 0.3 * x[..., 0] * x[..., 1] - 0.05 * x[..., 1] ** 2
+
+    return GameSpec(
+        name="planar", dim=2, action_dim=2, action_lo=[-1.0, -1.0], action_hi=[1.0, 1.0], horizon=0.5,
+        initial=InitialLaw("point", [0.0, 0.0], [0.0, 0.0]), drift=drift, running=running, terminal=terminal,
+        drift_bound=1.2, running_bound=5.0, terminal_bound=10.0, state_lo=[-2.0, -3.0], state_hi=[2.0, 3.0],
+    )
+
+
+class TestMatchesPerAtomLoop:
+    CASES = [("lowest", 0.0), ("lowest", 0.02), ("mean_drift", 0.02)]
+
+    @pytest.mark.parametrize("tie_break,tie_tol", CASES)
+    @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square"])
+    def test_catalog_games(self, name, tie_break, tie_tol):
+        game = make_game(name)
+        tg = TimeGrid(1.0, 60)
+        flow = candidate_flow(game, tg, 0.4 * tg.times, 300, derive_seed(1, name))
+        sg = stable_spatial_grid(game, tg, max_nodes=41)
+        ag = default_action_grid(game)
+        sol = solve_hjb(game, flow, sg, ag, tie_tol=tie_tol, tie_break=tie_break)
+        values, controls = _oracle_solve_hjb(game, flow, sg, ag, tie_tol, tie_break)
+        assert np.array_equal(sol.value.values, values)
+        assert np.array_equal(sol.control.values, controls)
+
+    @pytest.mark.parametrize("tie_break,tie_tol", CASES)
+    def test_two_dimensional_game(self, tie_break, tie_tol):
+        game = _planar_game()
+        tg = TimeGrid(game.horizon, 100)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 15)  # spacings 0.29 and 0.43
+        ag = ActionGrid(game.action_lo, game.action_hi, 3)
+        mean = np.column_stack([0.5 * tg.times, -tg.times])
+        flow = DeterministicFlow(tg, mean)
+        sol = solve_hjb(game, flow, sg, ag, tie_tol=tie_tol, tie_break=tie_break)
+        values, controls = _oracle_solve_hjb(game, flow, sg, ag, tie_tol, tie_break)
+        assert sol.value.values.shape == (tg.n_steps + 1, 15, 15)
+        assert np.array_equal(sol.value.values, values)
+        assert np.array_equal(sol.control.values, controls)
+        # the value is not constant along either axis, so both stencils matter
+        assert np.ptp(values[0], axis=0).min() > 0 and np.ptp(values[0], axis=1).min() > 0

@@ -9,6 +9,7 @@ from mfglab.games import make_game, monotone_lq, sign_drift
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.hjb import evaluate_payoff
 from mfglab.measures import DeterministicFlow
+from mfglab.mfe import candidate_flow
 from mfglab.relaxed import (
     chattering_approximation,
     constant_relaxed,
@@ -264,3 +265,62 @@ class TestStrictSelection:
         j_sel, _ = evaluate_payoff(game, flow, res.control, bundle, init)
         j_rel, _ = evaluate_payoff(game, flow, rel, bundle, init)
         assert j_sel >= j_rel - 1e-9
+
+
+def _oracle_strict_selection(game, relaxed, flow, match_tol=1e-9):
+    """strict_selection as it stood with its own per-atom coefficient loop."""
+    tgrid = relaxed.tgrid
+    stats_path = flow.stats_path()
+    atoms = relaxed.agrid.atoms
+    nA = atoms.shape[0]
+    nodes = relaxed.sgrid.nodes()
+    P = nodes.shape[0]
+    M, times = tgrid.n_steps, tgrid.times
+    selected = np.empty((M, P, atoms.shape[1]))
+    worst_mismatch, violations, worst_loss = 0.0, 0, 0.0
+    for j in range(M):
+        stats = stats_path[j]
+        b = np.empty((nA, P, game.dim))
+        f = np.empty((nA, P))
+        for i in range(nA):
+            a = np.broadcast_to(atoms[i], (P, atoms.shape[1]))
+            b[i] = np.asarray(game.drift(times[j], nodes, stats, a), dtype=float).reshape(P, game.dim)
+            f[i] = np.asarray(game.running(times[j], nodes, stats, a), dtype=float).reshape(P)
+        probs = relaxed.values[j].reshape(P, nA)
+        target_b = np.einsum("pi,ipd->pd", probs, b)
+        target_f = np.einsum("pi,ip->p", probs, f)
+        mismatch = np.abs(b - target_b[None]).max(axis=-1)
+        candidate = mismatch <= mismatch.min(axis=0) + match_tol
+        sel = np.where(candidate, f, -np.inf).argmax(axis=0)
+        selected[j] = atoms[sel]
+        worst_mismatch = max(worst_mismatch, float(mismatch[sel, np.arange(P)].max()))
+        loss = target_f - f[sel, np.arange(P)]
+        violations += int(np.sum(loss > 1e-9))
+        worst_loss = max(worst_loss, float(loss.max()))
+    return selected.reshape(relaxed.values.shape[:-1] + (atoms.shape[1],)), worst_mismatch, violations, max(worst_loss, 0.0)
+
+
+def _tilted_game():
+    """monotone_lq with state-dependent drift and a reward that is not even in the action."""
+    return dataclasses.replace(
+        monotone_lq(),
+        name="tilted",
+        drift=lambda t, x, m, a: a * (1.0 + 0.2 * np.sin(x + t)),
+        running=lambda t, x, m, a: (a[..., 0] - 0.5 * a[..., 0] ** 2) * (1.0 + x[..., 0] * m.mean[..., 0]),
+    )
+
+
+class TestSelectionMatchesPerAtomLoop:
+    @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square", "tilted"])
+    def test_spatially_varying_rows(self, name):
+        game = _tilted_game() if name == "tilted" else make_game(name)
+        tg = TimeGrid(1.0, 30)
+        sg = SpatialGrid(np.array([-3.0]), np.array([3.0]), 25)
+        ag = ActionGrid(np.array([-1.0]), np.array([1.0]), 5)
+        rng = np.random.default_rng(derive_seed(8, name))
+        rel = ControlField.relaxed(tg, sg, ag, rng.dirichlet(np.ones(5), size=(tg.n_steps, 25)))
+        flow = candidate_flow(game, tg, 0.3 * tg.times, 200, derive_seed(8, "flow"))
+        res = strict_selection(game, rel, flow, allow_approximate=True)
+        selected, mismatch, violations, loss = _oracle_strict_selection(game, rel, flow)
+        assert np.array_equal(res.control.values, selected)
+        assert (res.drift_mismatch, res.reward_violations, res.worst_reward_loss) == (mismatch, violations, loss)

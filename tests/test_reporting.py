@@ -1,21 +1,8 @@
 import csv
 
 import numpy as np
-import pytest
 
-from mfglab.grids import TimeGrid
-from mfglab.measures import EmpiricalFlow
-from mfglab.projection import project_drift
-from mfglab.reporting import (
-    config_hash,
-    drift_table_to_csv,
-    flow_to_csv,
-    fmt,
-    svg_line_plot,
-    write_csv,
-)
-from mfglab.rng import derive_seed, sample_brownian
-from mfglab.sim import integrate_paths
+from mfglab.reporting import config_hash, fmt, svg_line_plot, write_csv
 
 
 class TestFmt:
@@ -63,39 +50,6 @@ class TestWriteCsv:
             next(fh)
             got = [float(r[0]) for r in csv.reader(fh)]
         assert got == values
-
-
-class TestFlowCsv:
-    def test_long_format_layout(self, tmp_path):
-        tg = TimeGrid(1.0, 3)
-        bundle = sample_brownian(derive_seed(0, "csv"), 4, tg, 1)
-        ens = integrate_paths(np.zeros((4, 3, 1)), bundle, np.zeros((4, 1)))
-        flow = EmpiricalFlow.from_ensemble(ens)
-        path = tmp_path / "flow.csv"
-        flow_to_csv(flow, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time_index", "time", "particle", "x0"]
-        assert len(rows) == 1 + 4 * (tg.n_steps + 1)
-        assert rows[1][:3] == ["0", "0.0", "0"]
-        got = np.array([float(r[3]) for r in rows[1:]]).reshape(tg.n_steps + 1, 4)
-        assert np.array_equal(got, ens.states[:, :, 0].T)
-
-    def test_drift_table_layout(self, tmp_path):
-        tg = TimeGrid(1.0, 5)
-        n = 300
-        bundle = sample_brownian(derive_seed(1, "tbl"), n, tg, 1)
-        ens = integrate_paths(np.full((n, 5, 1), 0.25), bundle, np.zeros((n, 1)))
-        table = project_drift(ens, bins=6, min_count=10)
-        path = tmp_path / "table.csv"
-        drift_table_to_csv(table, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time_index", "bin", "bin_center", "value", "count", "fallback"]
-        assert len(rows) == 1 + 5 * 6
-        counts = np.array([int(r[4]) for r in rows[1:]]).reshape(5, 6)
-        assert np.array_equal(counts, table.counts)
-        assert {r[5] for r in rows[1:]} <= {"true", "false"}
 
 
 class TestConfigHash:

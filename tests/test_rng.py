@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mfglab
+from mfglab.games import monotone_lq, sign_drift
 from mfglab.grids import TimeGrid
-from mfglab.rng import _MASK63, BrownianBundle, _PhiloxStreams, derive_seed, initial_cloud, sample_brownian
+from mfglab.measures import sliced_directions
+from mfglab.mfe import candidate_flow, check_monotonicity, picard_mfe
+from mfglab.rng import _MASK63, BrownianBundle, _PhiloxStreams, derive_seed, initial_cloud, philox, sample_brownian
 
 
 def _fresh_stream(seed, k):
@@ -146,3 +152,42 @@ class TestInitialCloud:
     def test_uses_the_dedicated_stream(self):
         sampler = lambda gen, n: gen.normal(size=(n, 2))
         assert np.array_equal(initial_cloud(2**64 - 1, 9, sampler), sampler(_fresh_stream(2**64 - 1, _MASK63), 9))
+
+
+class TestPhiloxStreams:
+    @pytest.mark.parametrize("seed,k", [(0, 0), (7, 3), (derive_seed(3, "mix", 1), 0), (2**64 - 1, 2**64 - 1)])
+    def test_raw_words_match_a_fresh_philox(self, seed, k):
+        fresh = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
+        assert np.array_equal(philox(seed, k).bit_generator.random_raw(41), fresh.random_raw(41))
+
+    def test_each_call_starts_the_stream_afresh(self):
+        first = philox(5, 1)
+        first.standard_normal(3)
+        assert np.array_equal(philox(5, 1).standard_normal(4), _fresh_stream(5, 1).standard_normal(4))
+
+    def test_sliced_directions_unchanged(self):
+        # the directions were drawn from a hand-built Philox keyed (seed, dim)
+        v = _fresh_stream(7, 3).standard_normal((16, 3))
+        assert np.array_equal(sliced_directions(3, 16, 7), v / np.linalg.norm(v, axis=1, keepdims=True))
+
+    def test_picard_mixer_draw_unchanged(self):
+        # iteration 1 of seed 3 keeps the old particles of the second draw
+        # from the (derive_seed(3, "mix", 1), 0) stream, in that order
+        mixer = philox(derive_seed(3, "mix", 1), 0)
+        assert mixer.choice(16, size=8, replace=False).tolist() == [6, 14, 12, 1, 7, 3, 11, 8]
+        take_old = [14, 10, 2, 3, 7, 5, 1, 12]
+        assert mixer.choice(16, size=8, replace=False).tolist() == take_old
+        game = monotone_lq()
+        tg = TimeGrid(1.0, 20)
+        init = candidate_flow(game, tg, 0.5 * tg.times, 16, 3)
+        res = picard_mfe(game, init, max_iter=1, tol=0.0, seed=3)
+        assert np.array_equal(res.flow.samples[:, 8:], init.samples[:, take_old])
+
+    def test_monotonicity_margin_unchanged(self):
+        report = check_monotonicity(sign_drift(), trials=4, n_samples=100, seed=2)
+        assert (report.worst_margin, report.violations) == (2.395155028695826, 3)
+
+    def test_philox_is_built_only_in_rng(self):
+        src = Path(mfglab.__file__).parent
+        offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "rng.py" and "np.random.Philox(" in p.read_text()]
+        assert offenders == [], f"build seeded generators with rng.philox, not np.random.Philox, in {offenders}"

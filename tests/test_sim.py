@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 
 from mfglab.controls import ControlField, sign_of_mean, sign_of_state
-from mfglab.games import GameSpec, InitialLaw, MeasureStats, action_square, driftless, mean_drift, sign_drift, tracking_lq
-from mfglab.grids import ActionGrid, TimeGrid
+from mfglab.games import (
+    GameSpec,
+    InitialLaw,
+    MeasureStats,
+    action_square,
+    driftless,
+    make_game,
+    mean_drift,
+    sign_drift,
+    tracking_lq,
+)
+from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.measures import DeterministicFlow, EmpiricalFlow
 from mfglab.relaxed import constant_relaxed
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
 from mfglab.sim import (
     _feedback_groups,
     control_drift,
+    control_running,
     euler,
     integrate_paths,
     nplayer_drift,
@@ -346,3 +357,60 @@ class TestBatchedEuler:
         drift = nplayer_drift(game, ControlField.constant(tg, 0.0), tg, 4)
         with pytest.raises(FloatingPointError, match=r"t=0, repetition 1, particle 0, state \[0\.1\]"):
             euler(drift, noise, x0, tg, record="mean")
+
+
+# The relaxed branches of control_drift and control_running as they stood,
+# each with its own per-atom loop; the shared atom-table branch must
+# reproduce them bit for bit.
+
+def _oracle_relaxed_drift(game, control, j, t, x, stats):
+    probs = control.probabilities(j, x)
+    atoms = control.agrid.atoms
+    out = np.zeros_like(x)
+    for i in range(atoms.shape[0]):
+        a = np.broadcast_to(atoms[i], x.shape[:-1] + (atoms.shape[1],))
+        out += probs[..., i : i + 1] * game.drift(t, x, stats, a)
+    return out
+
+
+def _oracle_relaxed_running(game, control, j, t, x, stats):
+    probs = control.probabilities(j, x)
+    atoms = control.agrid.atoms
+    out = np.zeros(x.shape[:-1])
+    for i in range(atoms.shape[0]):
+        a = np.broadcast_to(atoms[i], x.shape[:-1] + (atoms.shape[1],))
+        out += probs[..., i] * game.running(t, x, stats, a)
+    return out
+
+
+def _two_action_game():
+    """One state, two action coordinates: 16 atoms on a 4 x 4 action lattice."""
+    return GameSpec(
+        name="two_action", dim=1, action_dim=2, action_lo=[-1.0, 0.0], action_hi=[1.0, 2.0], horizon=1.0,
+        initial=InitialLaw("gaussian", [0.0], [1.0]),
+        drift=lambda t, x, m, a: a[..., :1] - 0.5 * a[..., 1:] * np.tanh(x),
+        running=lambda t, x, m, a: -a[..., 0] ** 2 + a[..., 1] * np.sin(x[..., 0]) * m.mean[..., 0],
+        terminal=lambda x, m: np.zeros(x.shape[:-1]),
+        drift_bound=2.0, running_bound=3.0, terminal_bound=0.0, state_lo=[-8.0], state_hi=[8.0],
+    )
+
+
+class TestRelaxedAveragingMatchesPerAtomLoop:
+    @pytest.mark.parametrize("shape", [(1,), (37,), (3, 11)])
+    @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square", "two_action"])
+    def test_drift_and_running(self, name, shape):
+        game = _two_action_game() if name == "two_action" else make_game(name)
+        tg = TimeGrid(1.0, 4)
+        sg = SpatialGrid(np.array([-2.0]), np.array([2.0]), 9)
+        ag = ActionGrid(game.action_lo, game.action_hi, 4 if name == "two_action" else 5)
+        rng = np.random.default_rng(derive_seed(9, name, len(shape)))
+        rel = ControlField.relaxed(tg, sg, ag, rng.dirichlet(np.ones(ag.n_atoms), size=(tg.n_steps, 9)))
+        x = rng.normal(scale=1.5, size=shape + (1,))
+        stats = MeasureStats.from_cloud(x if x.ndim == 3 else x.reshape(-1, 1))
+        for j in range(tg.n_steps):
+            t = tg.times[j]
+            drift = control_drift(game, rel, j, t, x, stats)
+            running = control_running(game, rel, j, t, x, stats)
+            assert np.array_equal(drift, _oracle_relaxed_drift(game, rel, j, t, x, stats))
+            assert np.array_equal(running, _oracle_relaxed_running(game, rel, j, t, x, stats))
+            assert drift.shape == x.shape and running.shape == x.shape[:-1]
