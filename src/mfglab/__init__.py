@@ -42,7 +42,6 @@ from .projection import DriftTable, mimic_and_compare, path_autocovariance, proj
 from .relaxed import (
     chattering_approximation,
     constant_relaxed,
-    occupation_discrepancy,
     occupation_w1,
     strict_selection,
 )
@@ -62,8 +61,8 @@ __all__ = [
     "consistency_residual", "default_action_grid", "derive_seed",
     "evaluate_payoff", "exploitability_estimate", "flow_distance",
     "girsanov_weights", "initial_cloud", "integrate_paths", "make_game",
-    "mean_drift", "mimic_and_compare", "monotone_lq", "occupation_discrepancy",
-    "occupation_w1", "path_autocovariance", "path_payoffs", "picard_mfe", "project_drift",
+    "mean_drift", "mimic_and_compare", "monotone_lq", "occupation_w1",
+    "path_autocovariance", "path_payoffs", "picard_mfe", "project_drift",
     "register_game", "reweighted_statistic", "run_mean_drift",
     "run_monotone_uniqueness", "run_sign_drift", "same_law_baseline",
     "sample_brownian", "sign_drift", "sign_of_mean", "sign_of_state",

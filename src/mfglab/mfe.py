@@ -170,7 +170,9 @@ def same_law_baseline(
 class MonotonicityReport:
     trials: int
     violations: int
-    worst_margin: float  # most positive (estimate - 3 se); <= 0 means clean
+    # most positive (estimate - 3 se) over the rows that depend on the
+    # measure; <= 0 means clean, and 0.0 if no row does
+    worst_margin: float
     rows: list
 
 
@@ -197,6 +199,12 @@ def check_monotonicity(game: GameSpec, *, trials: int = 200, n_samples: int = 40
 
     and counts strict violations (estimate exceeding three standard errors).
     Requires the game to declare a separable running reward.
+
+    A row whose two sides agree exactly on both clouds (a part that does not
+    depend on the measure, such as a zero f1) has estimate and standard error
+    0 and says nothing about crowd aversion; it is skipped, so that its zero
+    margin cannot mask the other part's. worst_margin is the largest margin
+    over the rows kept, and 0.0 when every row is skipped.
     """
     if game.running_split is None:
         raise ValueError("monotonicity check needs a game with a separable running reward")
@@ -205,7 +213,7 @@ def check_monotonicity(game: GameSpec, *, trials: int = 200, n_samples: int = 40
 
     gen = philox(derive_seed(seed, "monotone"), 0)
     violations = 0
-    worst = -np.inf
+    margins = []
     rows = []
     for trial in range(trials):
         t = float(gen.uniform(0.0, game.horizon))
@@ -214,16 +222,20 @@ def check_monotonicity(game: GameSpec, *, trials: int = 200, n_samples: int = 40
         s1 = MeasureStats.from_cloud(x1)
         s2 = MeasureStats.from_cloud(x2)
 
-        for label, diff in (
-            ("f", lambda x: np.asarray(f1(t, x, s1), dtype=float) - np.asarray(f1(t, x, s2), dtype=float)),
-            ("g", lambda x: np.asarray(game.terminal(x, s1), dtype=float) - np.asarray(game.terminal(x, s2), dtype=float)),
+        for label, side in (
+            ("f", lambda x, s: np.asarray(f1(t, x, s), dtype=float)),
+            ("g", lambda x, s: np.asarray(game.terminal(x, s), dtype=float)),
         ):
-            d1, d2 = diff(x1), diff(x2)
+            a1, b1 = side(x1, s1), side(x1, s2)
+            a2, b2 = side(x2, s1), side(x2, s2)
+            if np.array_equal(a1, b1) and np.array_equal(a2, b2):
+                continue
+            d1, d2 = a1 - b1, a2 - b2
             est = float(d1.mean() - d2.mean())
             se = float(np.sqrt(d1.var(ddof=1) / d1.size + d2.var(ddof=1) / d2.size))
             margin = est - 3.0 * se
-            worst = max(worst, margin)
+            margins.append(margin)
             if margin > 0.0:
                 violations += 1
                 rows.append({"trial": trial, "part": label, "estimate": est, "se": se})
-    return MonotonicityReport(trials=trials, violations=violations, worst_margin=float(worst), rows=rows)
+    return MonotonicityReport(trials=trials, violations=violations, worst_margin=float(max(margins, default=0.0)), rows=rows)

@@ -9,6 +9,13 @@ alpha to beta along realized paths is
 with Xi evaluated at the step start. Each one-step factor has exact unit
 conditional expectation (Xi is fixed when the Gaussian increment arrives),
 so sample means of zeta_T sit near one at every discretization.
+
+The exploitability estimate steps all repetitions of one population size
+together through the shared Euler loop, in chunks whose noise fits the same
+cap as the scenarios' batched runs. It sums the payoff of player 0, the one
+player whose payoff it uses, inside the step and keeps only the final
+states, so a chunk holds its noise, its initial clouds and a few (R, n, d)
+step arrays, never paths.
 """
 
 from __future__ import annotations
@@ -22,8 +29,16 @@ from .games import GameSpec, MeasureStats
 from .grids import ActionGrid, SpatialGrid
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import FLOW_FUNCTIONALS, EmpiricalFlow
-from .rng import derive_seed, initial_cloud, sample_brownian
-from .sim import ParticleEnsemble, control_drift, path_payoffs, simulate_nplayer, _feedback_groups
+from .sim import (
+    ParticleEnsemble,
+    _feedback_groups,
+    chunk_inputs,
+    control_drift,
+    euler,
+    group_drift,
+    rep_chunks,
+    reward_at,
+)
 
 
 @dataclass
@@ -132,6 +147,31 @@ class ExploitabilityResult:
     rows: list = field(default_factory=list)
 
 
+def _player0_payoffs(game: GameSpec, feedbacks, noise: np.ndarray, x0: np.ndarray, tgrid, first_rep: int) -> np.ndarray:
+    """Player 0's payoff in each repetition of a chunk, stepped as one batch.
+
+    feedbacks is the profile (a shared field or a length-n family); noise is
+    (R, n, M, d) and x0 (R, n, d). Player 0's running reward is summed from
+    the states and statistics each step already has, and its terminal reward
+    is read from the final states, so no path is stored.
+    """
+    n = x0.shape[-2]
+    groups = _feedback_groups(feedbacks, n)
+    own = feedbacks if isinstance(feedbacks, ControlField) else feedbacks[0]
+    times = tgrid.times
+    total = np.zeros(x0.shape[:-2])
+
+    def drift(j, x, out):
+        stats = MeasureStats.from_cloud(x)
+        group_drift(game, groups, j, times[j], x, stats, out)
+        total[...] += reward_at(game, own, j, times[j], x[..., :1, :], stats, tgrid)[..., 0]
+
+    x_T = euler(drift, noise, x0, tgrid, record="last", first_rep=first_rep)
+    M = tgrid.n_steps
+    g = reward_at(game, own, M, times[M], x_T, MeasureStats.from_cloud(x_T), tgrid, first_rep)
+    return total + g[..., 0]
+
+
 def exploitability_estimate(
     game: GameSpec,
     mfe_flow,
@@ -152,33 +192,41 @@ def exploitability_estimate(
     Brownian bundle and initial cloud, so the gap estimate cancels most of
     the common noise. The frozen-flow best response is a proxy for the true
     n-player best response, accurate up to the flow fluctuation scale.
+
+    Repetition r draws its noise and initial cloud from the seeds derived
+    from (seed, "xp", n, r) and (seed, "xp-init", n, r). Repetitions are
+    stepped in the chunks of sim.rep_chunks, whose noise, n * M * d doubles
+    per repetition, fits the batched runs' 16 MiB cap (at least one
+    repetition per chunk); each chunk is stepped twice, once per profile,
+    through the shared Euler loop, and only player 0's payoff is kept.
+    Memory is thus bounded by one chunk's noise plus a few (R, n, d) arrays,
+    whatever reps is, and the rows are those of running the repetitions one
+    at a time.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    tgrid = mfe_flow.grid
+    for name, control in (("mfe_control", mfe_control), ("br_control", br_control)):
+        if control is not None and control.tgrid != tgrid:
+            raise ValueError(f"{name} time grid {control.tgrid} differs from mfe_flow's grid {tgrid}")
     if br_control is None:
         if sgrid is None:
-            sgrid = stable_spatial_grid(game, mfe_flow.grid)
+            sgrid = stable_spatial_grid(game, tgrid)
         if agrid is None:
             agrid = default_action_grid(game)
         br_control = solve_hjb(game, mfe_flow, sgrid, agrid).control
 
-    tgrid = mfe_flow.grid
-    sampler = game.initial.sampler()
-    gaps = np.empty(reps)
+    family = [br_control] + [mfe_control] * (n - 1)
     eqs = np.empty(reps)
     devs = np.empty(reps)
-    rows = []
-    for r in range(reps):
-        bundle = sample_brownian(derive_seed(seed, "xp", n, r), n, tgrid, game.dim)
-        x0 = initial_cloud(derive_seed(seed, "xp-init", n, r), n, sampler)
-
-        eq_ens = simulate_nplayer(game, mfe_control, bundle, x0)
-        j_eq = float(path_payoffs(game, eq_ens, mfe_control)[0])
-
-        family = [br_control] + [mfe_control] * (n - 1)
-        dev_ens = simulate_nplayer(game, family, bundle, x0)
-        j_dev = float(path_payoffs(game, dev_ens, family)[0])
-
-        eqs[r], devs[r], gaps[r] = j_eq, j_dev, j_dev - j_eq
-        rows.append({"n": n, "rep": r, "j_eq": j_eq, "j_dev": j_dev})
+    for chunk in rep_chunks(reps, n, tgrid.n_steps, game.dim):
+        noise, x0 = chunk_inputs(game, chunk, n, tgrid, seed, ("xp", "xp-init"))
+        eqs[chunk.start:chunk.stop] = _player0_payoffs(game, mfe_control, noise, x0, tgrid, chunk.start)
+        devs[chunk.start:chunk.stop] = _player0_payoffs(game, family, noise, x0, tgrid, chunk.start)
+    gaps = devs - eqs
+    rows = [{"n": n, "rep": r, "j_eq": float(eqs[r]), "j_dev": float(devs[r])} for r in range(reps)]
 
     se_gap = float(gaps.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
     se_eq = float(eqs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")

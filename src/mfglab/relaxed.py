@@ -109,17 +109,6 @@ def chattering_approximation(relaxed: ControlField, substeps: int) -> ControlFie
     return ControlField.pure(fine, relaxed.sgrid, values, name=f"chatter[{relaxed.name or 'relaxed'}x{substeps}]")
 
 
-DEFAULT_OCCUPATION_TESTS: tuple = (
-    lambda t, a: np.ones_like(t),
-    lambda t, a: t,
-    lambda t, a: a,
-    lambda t, a: t * a,
-    lambda t, a: a**2,
-    lambda t, a: t * a**2,
-    lambda t, a: t**2 * a,
-)
-
-
 def _node_index_for(field: ControlField, x=None):
     if x is None:
         # default to the spatially constant case: any node represents the field
@@ -130,39 +119,6 @@ def _node_index_for(field: ControlField, x=None):
             raise ValueError("field varies over space; pass the state x to evaluate at")
         return (0,) * field.sgrid.dim
     return field.sgrid.nearest_index(np.atleast_1d(np.asarray(x, dtype=float)))
-
-
-def occupation_discrepancy(pure: ControlField, relaxed: ControlField, x=None, tests=DEFAULT_OCCUPATION_TESTS, quad_per_step: int = 16) -> float:
-    """Worst test-integral gap between two occupation measures on time x action.
-
-    Both fields are read at one spatial node (default requires spatially
-    constant fields). Integrals over time use a midpoint rule with
-    quad_per_step points per finest step, so the gap is a deterministic
-    quadrature quantity with no Monte Carlo noise.
-    """
-    if not relaxed.is_relaxed or pure.is_relaxed:
-        raise ValueError("expected (pure, relaxed) in that order")
-    if pure.tgrid.horizon != relaxed.tgrid.horizon:
-        raise ValueError("fields must share a horizon")
-    idx_p = _node_index_for(pure, x)
-    idx_r = _node_index_for(relaxed, x)
-    a_pure = np.stack([pure.values[(j,) + idx_p] for j in range(pure.tgrid.n_steps)])  # (Mp, ka)
-    p_rel = np.stack([relaxed.values[(j,) + idx_r] for j in range(relaxed.tgrid.n_steps)])  # (Mr, nA)
-    atoms = relaxed.agrid.atoms
-
-    K = quad_per_step * pure.tgrid.n_steps
-    ts = (np.arange(K) + 0.5) * (pure.tgrid.horizon / K)
-    w = pure.tgrid.horizon / K
-    jp = np.minimum((ts / pure.tgrid.dt).astype(np.intp), pure.tgrid.n_steps - 1)
-    jr = np.minimum((ts / relaxed.tgrid.dt).astype(np.intp), relaxed.tgrid.n_steps - 1)
-
-    worst = 0.0
-    for phi in tests:
-        val_pure = float(np.sum(phi(ts, a_pure[jp, 0]) * w))
-        per_atom = np.stack([phi(ts, np.full_like(ts, atoms[i, 0])) for i in range(atoms.shape[0])], axis=1)  # (K, nA)
-        val_rel = float(np.sum(per_atom * p_rel[jr] * w))
-        worst = max(worst, abs(val_pure - val_rel))
-    return worst
 
 
 def occupation_samples(field: ControlField, x=None) -> np.ndarray:

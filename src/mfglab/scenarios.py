@@ -24,13 +24,7 @@ from .mfe import candidate_flow, check_monotonicity, consistency_residual, picar
 from .reporting import config_hash, fmt, svg_line_plot, write_csv
 from .rng import derive_seed, initial_cloud, sample_brownian
 from .grids import TimeGrid
-from .sim import euler, nplayer_drift, simulate_nplayer
-
-# Noise held by one chunk of repetitions. A chunk takes as many repetitions as
-# fit under it (at least one); it bounds the memory of a batched run and does
-# not depend on the thread count, so chunk contents, and hence reports, do not
-# either.
-_CHUNK_NOISE_BYTES = 16 << 20
+from .sim import chunk_inputs, euler, nplayer_drift, rep_chunks, simulate_nplayer
 
 
 @dataclass
@@ -98,34 +92,22 @@ def _map_ordered(worker, items, threads: int):
     return [worker(item) for item in items]
 
 
-def _rep_chunks(reps: int, n: int, n_steps: int) -> list:
-    """Consecutive repetition ranges whose noise, n * n_steps doubles each, fits the cap."""
-    size = max(1, _CHUNK_NOISE_BYTES // (n * n_steps * 8))
-    return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-
-
 def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed: int, labels, threads: int) -> np.ndarray:
     """Particle-mean paths (reps, M+1) of independent 1-d n-player runs.
 
     Repetition r draws its noise and initial cloud from the seeds derived
     from (seed, label, n, r) for the noise and initial-cloud labels. Each
-    chunk draws its noise straight into one buffer and is stepped as a batch.
+    chunk of repetitions is stepped as a batch.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    noise_label, init_label = labels
     drift = nplayer_drift(game, feedback, tgrid, n)
-    sampler = game.initial.sampler()
 
     def run_chunk(chunk):
-        noise = np.empty((len(chunk), n, tgrid.n_steps, 1))
-        x0 = np.empty((len(chunk), n, 1))
-        for i, r in enumerate(chunk):
-            sample_brownian(derive_seed(seed, noise_label, n, r), n, tgrid, 1, out=noise[i])
-            x0[i] = initial_cloud(derive_seed(seed, init_label, n, r), n, sampler)
+        noise, x0 = chunk_inputs(game, chunk, n, tgrid, seed, labels)
         return euler(drift, noise, x0, tgrid, record="mean", first_rep=chunk.start)[..., 0]
 
-    return np.concatenate(_map_ordered(run_chunk, _rep_chunks(reps, n, tgrid.n_steps), threads))
+    return np.concatenate(_map_ordered(run_chunk, rep_chunks(reps, n, tgrid.n_steps, game.dim), threads))
 
 
 def run_sign_drift(

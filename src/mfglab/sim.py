@@ -11,6 +11,8 @@ All of them step through one loop, euler(), over states shaped (..., n, d):
 the public simulators pass a single system (no leading axis), and batched
 callers pass R independent repetitions at once, shaped (R, n, d), so the
 per-step Python work is paid once per batch instead of once per repetition.
+Batched callers split their repetitions into chunks with rep_chunks() and
+draw each chunk's noise and initial clouds with chunk_inputs().
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ import numpy as np
 from .controls import ControlField
 from .games import GameSpec, MeasureStats
 from .grids import TimeGrid
-from .rng import BrownianBundle
+from .rng import BrownianBundle, derive_seed, initial_cloud, sample_brownian
+
+# Noise held by one chunk of repetitions. A chunk takes as many repetitions as
+# fit under it (at least one); it bounds the memory of a batched run and does
+# not depend on the thread count, so chunk contents, and hence results, do not
+# either.
+_CHUNK_NOISE_BYTES = 16 << 20
 
 
 @dataclass
@@ -101,6 +109,21 @@ def control_running(game: GameSpec, control: ControlField, j: int, t: float, x: 
     return _controlled(game.running, control, j, t, x, stats)
 
 
+def reward_at(game: GameSpec, control: ControlField, j: int, t: float, x: np.ndarray, stats: MeasureStats, grid: TimeGrid, first_rep: int = 0) -> np.ndarray:
+    """What states x (..., n, d) earn at node j of grid, whose time is t:
+    f(t, x, m, a) dt under control for j < M, the terminal reward g(x, m)
+    at j = M.
+
+    Terminal rewards are checked finite; with a leading repetition axis the
+    error names the repetition, counted from first_rep.
+    """
+    if j < grid.n_steps:
+        return control_running(game, control, j, t, x, stats) * grid.dt
+    g = np.asarray(game.terminal(x, stats), dtype=float)
+    _check_finite(g[..., None], "terminal reward", t, x, first_rep)
+    return g
+
+
 def _feedback_groups(feedbacks, n: int):
     """Normalize a shared field or a length-n family into (field, indices) groups."""
     if isinstance(feedbacks, ControlField):
@@ -126,6 +149,29 @@ def _prep_init(init: np.ndarray, n: int, dim: int) -> np.ndarray:
     return init
 
 
+def rep_chunks(reps: int, n: int, n_steps: int, dim: int) -> list:
+    """Consecutive repetition ranges whose noise, n * n_steps * dim doubles each, fits the cap."""
+    size = max(1, _CHUNK_NOISE_BYTES // (n * n_steps * dim * 8))
+    return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def chunk_inputs(game: GameSpec, chunk: range, n: int, grid: TimeGrid, seed: int, labels) -> tuple:
+    """Noise (R, n, M, d) and initial clouds (R, n, d) of the repetitions in chunk.
+
+    Repetition r draws its noise and initial cloud from the seeds derived
+    from (seed, label, n, r) for the noise and initial-cloud labels; its
+    noise goes straight into its slot of the chunk buffer.
+    """
+    noise_label, init_label = labels
+    noise = np.empty((len(chunk), n, grid.n_steps, game.dim))
+    x0 = np.empty((len(chunk), n, game.dim))
+    sampler = game.initial.sampler()
+    for i, r in enumerate(chunk):
+        sample_brownian(derive_seed(seed, noise_label, n, r), n, grid, game.dim, out=noise[i])
+        x0[i] = initial_cloud(derive_seed(seed, init_label, n, r), n, sampler)
+    return noise, x0
+
+
 def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: str = "full", first_rep: int = 0):
     """The Euler loop: x_{j+1} = x_j + b_j dt + dW_j over states shaped (..., n, d).
 
@@ -135,9 +181,10 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     into out, shaped like x; every step is checked for non-finite drifts.
 
     record="full" returns (states (..., n, M+1, d), drifts (..., n, M, d));
-    record="mean" returns only the particle-mean path (..., M+1, d), so a
-    batch needs no more memory than its noise. first_rep is the number of
-    the batch's first repetition, used to name a repetition in errors.
+    record="mean" returns only the particle-mean path (..., M+1, d) and
+    record="last" only the final states (..., n, d), so a batch needs no
+    more memory than its noise. first_rep is the number of the batch's
+    first repetition, used to name a repetition in errors.
     """
     M = grid.n_steps
     if noise.shape[-2] != M or noise.shape[:-2] != init.shape[:-1] or noise.shape[-1] != init.shape[-1]:
@@ -148,16 +195,17 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
         states = np.empty(lead + (M + 1,) + init.shape[-1:])
         drifts = np.empty(noise.shape)
         states[..., 0, :] = init
-    elif record == "mean":
-        means = np.empty(lead[:-1] + (M + 1,) + init.shape[-1:])
+    elif record in ("mean", "last"):
+        if record == "mean":
+            means = np.empty(lead[:-1] + (M + 1,) + init.shape[-1:])
         step = np.empty(init.shape)
     else:
-        raise ValueError(f"record must be 'full' or 'mean', got {record!r}")
+        raise ValueError(f"record must be 'full', 'mean' or 'last', got {record!r}")
     x = init
     for j in range(M):
         if record == "full":
             step = drifts[..., j, :]
-        else:
+        elif record == "mean":
             means[..., j, :] = np.add.reduce(x, axis=-2)
         drift(j, x, step)
         _check_finite(step, "drift", times[j], x, first_rep)
@@ -166,6 +214,8 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
             states[..., j + 1, :] = x
     if record == "full":
         return states, drifts
+    if record == "last":
+        return x
     means[..., M, :] = np.add.reduce(x, axis=-2)
     means /= init.shape[-2]  # sums to means, the division np.mean makes
     return means
@@ -182,11 +232,15 @@ def nplayer_drift(game: GameSpec, feedbacks, grid: TimeGrid, n: int):
     times = grid.times
 
     def drift(j, x, out):
-        stats = MeasureStats.from_cloud(x)
-        for field, idx in groups:
-            out[..., idx, :] = control_drift(game, field, j, times[j], x[..., idx, :], stats)
+        group_drift(game, groups, j, times[j], x, MeasureStats.from_cloud(x), out)
 
     return drift
+
+
+def group_drift(game: GameSpec, groups, j: int, t: float, x: np.ndarray, stats: MeasureStats, out: np.ndarray) -> None:
+    """Write each feedback group's drift at step j for states x (..., n, d) into out."""
+    for field, idx in groups:
+        out[..., idx, :] = control_drift(game, field, j, t, x[..., idx, :], stats)
 
 
 def _check_bundle(game: GameSpec, bundle: BrownianBundle) -> None:
@@ -256,19 +310,16 @@ def path_payoffs(game: GameSpec, ensemble: ParticleEnsemble, feedbacks, stats_pa
     see; by default it is recomputed from the ensemble's own clouds (the
     coupled-game convention). Pass a frozen flow's stats for one-player runs.
     """
-    n, M = ensemble.n, ensemble.grid.n_steps
+    n, grid, M = ensemble.n, ensemble.grid, ensemble.grid.n_steps
     groups = _feedback_groups(feedbacks, n)
-    dt = ensemble.grid.dt
-    times = ensemble.grid.times
+    times = grid.times
     own_stats = stats_path is None
     total = np.zeros(n)
     for j in range(M):
         x = ensemble.states[:, j, :]
         stats = MeasureStats.from_cloud(x) if own_stats else stats_path[j]
         for field, idx in groups:
-            total[idx] += control_running(game, field, j, times[j], x[idx], stats) * dt
+            total[idx] += reward_at(game, field, j, times[j], x[idx], stats, grid)
     x_T = ensemble.states[:, M, :]
     stats_T = MeasureStats.from_cloud(x_T) if own_stats else stats_path[M]
-    g = np.asarray(game.terminal(x_T, stats_T), dtype=float)
-    _check_finite(g[:, None], "terminal reward", times[M], x_T)
-    return total + g
+    return total + reward_at(game, None, M, times[M], x_T, stats_T, grid)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,21 @@ class TestMonotonicity:
         assert rep.violations > 25
         assert rep.worst_margin > 0.0
         assert rep.rows  # offending trials are reported
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crowd_averse_margin_is_negative(self, seed):
+        # monotone_lq's f1 is identically zero; its rows carry no information
+        # and must not pin the worst margin at exactly 0
+        rep = check_monotonicity(monotone_lq(), trials=6, n_samples=200, seed=seed)
+        assert rep.violations == 0
+        assert rep.worst_margin < 0.0
+
+    def test_measure_free_game_gives_zero_margin(self):
+        # neither part depends on the measure: every row is skipped
+        base = monotone_lq()
+        game = dataclasses.replace(base, terminal=lambda x, m: -x[..., 0] ** 2)
+        rep = check_monotonicity(game, trials=5, n_samples=50, seed=1)
+        assert (rep.violations, rep.worst_margin, rep.rows) == (0, 0.0, [])
 
     def test_requires_separable_running_reward(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mfglab import nash, sim
 from mfglab.controls import ControlField, sign_of_mean
-from mfglab.games import make_game, monotone_lq, sign_drift
-from mfglab.grids import TimeGrid
+from mfglab.games import MeasureStats, make_game, monotone_lq, sign_drift
+from mfglab.grids import ActionGrid, TimeGrid
 from mfglab.hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from mfglab.measures import EmpiricalFlow
 from mfglab.mfe import candidate_flow
@@ -15,8 +16,9 @@ from mfglab.nash import (
     girsanov_weights,
     reweighted_statistic,
 )
+from mfglab.relaxed import constant_relaxed
 from mfglab.rng import BrownianBundle, derive_seed, initial_cloud, sample_brownian
-from mfglab.sim import ParticleEnsemble, simulate_frozen_flow, simulate_nplayer
+from mfglab.sim import ParticleEnsemble, _feedback_groups, control_running, simulate_frozen_flow, simulate_nplayer
 
 
 def _coupled(game, tg, fb, n, seed):
@@ -225,3 +227,178 @@ class TestExploitability:
         assert [row["rep"] for row in res.rows] == [0, 1, 2, 3]
         assert all(set(row) == {"n", "rep", "j_eq", "j_dev"} for row in res.rows)
         assert all(row["n"] == 16 for row in res.rows)
+
+
+def _oracle_payoffs(game, ensemble, feedbacks):
+    """path_payoffs as written before its reward helper: coupled-game statistics."""
+    n, M = ensemble.n, ensemble.grid.n_steps
+    dt, times = ensemble.grid.dt, ensemble.grid.times
+    total = np.zeros(n)
+    for j in range(M):
+        x = ensemble.states[:, j, :]
+        stats = MeasureStats.from_cloud(x)
+        for field, idx in _feedback_groups(feedbacks, n):
+            total[idx] += control_running(game, field, j, times[j], x[idx], stats) * dt
+    x_T = ensemble.states[:, M, :]
+    return total + np.asarray(game.terminal(x_T, MeasureStats.from_cloud(x_T)), dtype=float)
+
+
+def _oracle_exploitability(game, flow, mfe_control, br_control, n, reps, seed):
+    """exploitability_estimate as it ran before batching: one repetition at a time."""
+    tgrid = flow.grid
+    if br_control is None:
+        br_control = solve_hjb(game, flow, stable_spatial_grid(game, tgrid), default_action_grid(game)).control
+    sampler = game.initial.sampler()
+    gaps, eqs, devs = np.empty(reps), np.empty(reps), np.empty(reps)
+    rows = []
+    for r in range(reps):
+        bundle = sample_brownian(derive_seed(seed, "xp", n, r), n, tgrid, game.dim)
+        x0 = initial_cloud(derive_seed(seed, "xp-init", n, r), n, sampler)
+
+        eq_ens = simulate_nplayer(game, mfe_control, bundle, x0)
+        j_eq = float(_oracle_payoffs(game, eq_ens, mfe_control)[0])
+
+        family = [br_control] + [mfe_control] * (n - 1)
+        dev_ens = simulate_nplayer(game, family, bundle, x0)
+        j_dev = float(_oracle_payoffs(game, dev_ens, family)[0])
+
+        eqs[r], devs[r], gaps[r] = j_eq, j_dev, j_dev - j_eq
+        rows.append({"n": n, "rep": r, "j_eq": j_eq, "j_dev": j_dev})
+    se_gap = float(gaps.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
+    se_eq = float(eqs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
+    return rows, float(gaps.mean()), se_gap, se_eq
+
+
+def _relaxed_rows(tg, seed):
+    ag = ActionGrid(np.array([-1.0]), np.array([1.0]), 3)
+    rows = np.random.default_rng(seed).dirichlet(np.ones(3), size=tg.n_steps)
+    return constant_relaxed(tg, ag, rows)
+
+
+def _profiles():
+    """(label, game, flow, mfe_control, br_control or None) on a short grid."""
+    tg = TimeGrid(1.0, 30)
+    plus = ControlField.constant(tg, 1.0)
+    return [
+        ("sign_drift", sign_drift(), candidate_flow(sign_drift(), tg, tg.times, 512, 7), plus, None),
+        ("monotone_lq", monotone_lq(), candidate_flow(monotone_lq(), tg, tg.times, 512, 17), plus, None),
+        ("relaxed", monotone_lq(), candidate_flow(monotone_lq(), tg, 0.3 * tg.times, 512, 9), _relaxed_rows(tg, 3), None),
+        ("relaxed_deviation", sign_drift(), candidate_flow(sign_drift(), tg, -tg.times, 512, 5),
+         _relaxed_rows(tg, 4), _relaxed_rows(tg, 6)),
+    ]
+
+
+class TestBatchedExploitability:
+    @pytest.mark.parametrize("profile", _profiles(), ids=lambda p: p[0])
+    @pytest.mark.parametrize("n", [1, 16, 33])
+    def test_matches_per_repetition_loop(self, profile, n, monkeypatch):
+        # two repetitions per chunk, so five repetitions leave a chunk of one
+        _, game, flow, ctrl, br = profile
+        M = flow.grid.n_steps
+        monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 2 * n * M * game.dim * 8)
+        assert [len(c) for c in sim.rep_chunks(5, n, M, game.dim)] == [2, 2, 1]
+        res = exploitability_estimate(game, flow, ctrl, n=n, reps=5, seed=11, br_control=br)
+        rows, gap, se_gap, se_eq = _oracle_exploitability(game, flow, ctrl, br, n, 5, 11)
+        assert res.rows == rows
+        assert (res.gap, res.se_gap, res.se_eq) == (gap, se_gap, se_eq)
+
+    @pytest.mark.parametrize("reps_per_chunk", [1, 3, 7])
+    def test_chunking_does_not_change_results(self, reps_per_chunk, monkeypatch):
+        _, game, flow, ctrl, _ = _profiles()[1]
+        monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", reps_per_chunk * 20 * flow.grid.n_steps * 8)
+        res = exploitability_estimate(game, flow, ctrl, n=20, reps=7, seed=2)
+        rows, gap, se_gap, se_eq = _oracle_exploitability(game, flow, ctrl, None, 20, 7, 2)
+        assert res.rows == rows
+        assert (res.gap, res.se_gap, res.se_eq) == (gap, se_gap, se_eq)
+
+    def test_two_euler_passes_per_chunk(self, monkeypatch):
+        # one pass for the equilibrium profile and one for the deviation
+        # family per chunk: never one pass per repetition
+        _, game, flow, ctrl, _ = _profiles()[1]
+        M = flow.grid.n_steps
+        monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 3 * 24 * M * 8)
+        calls = []
+
+        def counting_euler(*args, **kwargs):
+            calls.append(args[2].shape)
+            return sim.euler(*args, **kwargs)
+
+        monkeypatch.setattr(nash, "euler", counting_euler)
+        exploitability_estimate(game, flow, ctrl, n=24, reps=10, seed=1)
+        chunks = sim.rep_chunks(10, 24, M, 1)
+        assert len(chunks) == 4
+        assert len(calls) == 2 * len(chunks)
+        assert calls == [(len(c), 24, 1) for c in chunks for _ in (0, 1)]
+
+    def _crossing_threshold(self, game, flow, ctrl, n, reps, seed, path_stat):
+        """A level that only one repetition's (path_stat of its) mean path passes, and that repetition."""
+        values = []
+        for r in range(reps):
+            bundle = sample_brownian(derive_seed(seed, "xp", n, r), n, flow.grid, 1)
+            x0 = initial_cloud(derive_seed(seed, "xp-init", n, r), n, game.initial.sampler())
+            values.append(path_stat(simulate_nplayer(game, ctrl, bundle, x0).states[:, :, 0].mean(axis=0)))
+        order = np.argsort(values)
+        return 0.5 * (values[order[-1]] + values[order[-2]]), int(order[-1])
+
+    def test_non_finite_drift_names_the_repetition(self, monkeypatch):
+        base = monotone_lq()
+        tg = TimeGrid(1.0, 30)
+        flow = candidate_flow(base, tg, np.zeros(tg.n_steps + 1), 512, 3)
+        zero = ControlField.constant(tg, 0.0)
+        # the drift turns NaN once a repetition's mean passes a level that,
+        # before the last step, only one repetition reaches
+        level, bad = self._crossing_threshold(base, flow, zero, 8, 6, 4, lambda mp: mp[:-1].max())
+        assert bad > 0  # so the repetition number is not the chunk-local 0
+        game = dataclasses.replace(base, drift=lambda t, x, m, a: base.drift(t, x, m, a) + np.where(m.mean[..., :1] > level, np.nan, 0.0))
+        monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 8 * tg.n_steps * 8)
+        with pytest.raises(FloatingPointError, match=rf"drift .* repetition {bad}, particle 0, state"):
+            exploitability_estimate(game, flow, zero, n=8, reps=6, seed=4, br_control=zero)
+
+    def test_non_finite_terminal_reward_names_the_repetition(self, monkeypatch):
+        base = monotone_lq()
+        tg = TimeGrid(1.0, 30)
+        flow = candidate_flow(base, tg, np.zeros(tg.n_steps + 1), 512, 3)
+        zero = ControlField.constant(tg, 0.0)
+        level, bad = self._crossing_threshold(base, flow, zero, 8, 6, 9, lambda mp: mp[-1])
+        game = dataclasses.replace(base, terminal=lambda x, m: base.terminal(x, m) + np.where(m.mean[..., 0] > level, np.nan, 0.0))
+        # three repetitions per chunk: the bad one sits inside the second
+        # chunk, so neither its chunk-local number nor the chunk start is right
+        monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 3 * 8 * tg.n_steps * 8)
+        assert bad > 3
+        with pytest.raises(FloatingPointError, match=rf"terminal reward .* repetition {bad}, particle 0, state"):
+            exploitability_estimate(game, flow, zero, n=8, reps=6, seed=9, br_control=zero)
+
+
+class TestExploitabilityArguments:
+    @pytest.fixture
+    def setup(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("arguments must be checked before the best-response solve")
+
+        monkeypatch.setattr(nash, "solve_hjb", no_solve)
+        game = monotone_lq()
+        tg = TimeGrid(1.0, 20)
+        return game, candidate_flow(game, tg, np.zeros(tg.n_steps + 1), 64, 1), ControlField.constant(tg, 0.0)
+
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_reps_at_least_one(self, setup, reps):
+        game, flow, ctrl = setup
+        with pytest.raises(ValueError, match=rf"reps must be at least 1, got {reps}"):
+            exploitability_estimate(game, flow, ctrl, n=8, reps=reps)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_population_at_least_one(self, setup, n):
+        game, flow, ctrl = setup
+        with pytest.raises(ValueError, match=rf"n must be at least 1, got {n}"):
+            exploitability_estimate(game, flow, ctrl, n=n, reps=3)
+
+    def test_equilibrium_control_on_another_grid(self, setup):
+        game, flow, _ = setup
+        with pytest.raises(ValueError, match="mfe_control time grid .* differs from mfe_flow's grid"):
+            exploitability_estimate(game, flow, ControlField.constant(TimeGrid(1.0, 40), 0.0), n=8, reps=3)
+
+    def test_best_response_on_another_grid(self, setup):
+        game, flow, ctrl = setup
+        other = ControlField.constant(TimeGrid(2.0, 20), 0.0)
+        with pytest.raises(ValueError, match="br_control time grid .* differs from mfe_flow's grid"):
+            exploitability_estimate(game, flow, ctrl, n=8, reps=3, br_control=other)

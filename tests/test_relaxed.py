@@ -14,7 +14,6 @@ from mfglab.relaxed import (
     chattering_approximation,
     constant_relaxed,
     largest_remainder,
-    occupation_discrepancy,
     occupation_w1,
     strict_selection,
 )
@@ -113,14 +112,6 @@ class TestChattering:
 
 
 class TestOccupationDistances:
-    def test_zero_for_identical_measures(self):
-        tg = TimeGrid(1.0, 6)
-        ag = _three_atoms()
-        rows = np.tile([0.0, 1.0, 0.0], (tg.n_steps, 1))
-        rel = constant_relaxed(tg, ag, rows)
-        chat = chattering_approximation(rel, 4)
-        assert occupation_discrepancy(chat, rel) == 0.0
-
     def test_reference_level_has_zero_distance_to_itself(self):
         tg = TimeGrid(1.0, 6)
         ag = _three_atoms()
@@ -134,9 +125,6 @@ class TestOccupationDistances:
         ag = _three_atoms()
         rng = np.random.default_rng(derive_seed(5, "rows"))
         rel = constant_relaxed(tg, ag, rng.dirichlet(np.ones(3), size=tg.n_steps))
-        coarse = occupation_discrepancy(chattering_approximation(rel, 4), rel)
-        fine = occupation_discrepancy(chattering_approximation(rel, 32), rel)
-        assert fine < coarse
         assert occupation_w1(chattering_approximation(rel, 32), rel) < occupation_w1(
             chattering_approximation(rel, 4), rel
         )
@@ -164,12 +152,9 @@ class TestOccupationDistances:
         rel = constant_relaxed(tg, ag, np.tile([0.2, 0.3, 0.5], (4, 1)))
         chat = chattering_approximation(rel, 4)
         with pytest.raises(ValueError):
-            occupation_discrepancy(rel, rel)
+            occupation_w1(rel, rel)
         with pytest.raises(ValueError):
             occupation_w1(chat, chat)
-        other = constant_relaxed(TimeGrid(2.0, 4), ag, np.tile([0.2, 0.3, 0.5], (4, 1)))
-        with pytest.raises(ValueError):
-            occupation_discrepancy(chat, other)
 
     def test_spatially_varying_field_needs_a_state(self):
         tg = TimeGrid(1.0, 4)
@@ -180,9 +165,9 @@ class TestOccupationDistances:
         probs[:, :, 2] = 1.0 - probs[:, :, 0]
         rel = ControlField.relaxed(tg, sg, ag, probs)
         chat = chattering_approximation(rel, 4)
-        with pytest.raises(ValueError):
-            occupation_discrepancy(chat, rel)
-        assert occupation_discrepancy(chat, rel, x=0.0) >= 0.0
+        with pytest.raises(ValueError, match="varies over space"):
+            occupation_w1(chat, rel)
+        assert occupation_w1(chat, rel, x=0.0) >= 0.0
 
 
 class TestStrictSelection:

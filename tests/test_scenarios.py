@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mfglab import games, scenarios
+from mfglab import games, scenarios, sim
 from mfglab.controls import sign_of_mean
 from mfglab.grids import TimeGrid
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
@@ -207,18 +207,23 @@ class TestBatchedRepetitions:
         kw = dict(n_values=(16, 40), reps=9, n_steps=50, seed=5)
         reports = []
         for reps_per_chunk in (1, 2, 4, 9):
-            monkeypatch.setattr(scenarios, "_CHUNK_NOISE_BYTES", reps_per_chunk * 40 * 50 * 8)
-            assert len(scenarios._rep_chunks(9, 40, 50)) == -(-9 // reps_per_chunk)
+            monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", reps_per_chunk * 40 * 50 * 8)
+            assert len(sim.rep_chunks(9, 40, 50, 1)) == -(-9 // reps_per_chunk)
             reports.append(run_sign_drift(**kw))
         for other in reports[1:]:
             assert other.rows == reports[0].rows
             assert other.summary == reports[0].summary
 
     def test_chunks_cover_repetitions_in_order(self):
-        assert scenarios._rep_chunks(5, 10**9, 1000) == [range(r, r + 1) for r in range(5)]
-        chunks = scenarios._rep_chunks(200, 1024, 1000)
+        assert sim.rep_chunks(5, 10**9, 1000, 1) == [range(r, r + 1) for r in range(5)]
+        chunks = sim.rep_chunks(200, 1024, 1000, 1)
         assert [r for c in chunks for r in c] == list(range(200))
-        assert max(len(c) for c in chunks) * 1024 * 1000 * 8 <= scenarios._CHUNK_NOISE_BYTES
+        assert max(len(c) for c in chunks) * 1024 * 1000 * 8 <= sim._CHUNK_NOISE_BYTES
+        # the two-ramp run keeps its chunks of two repetitions
+        assert chunks == [range(r, r + 2) for r in range(0, 200, 2)]
+        # the cap counts every coordinate of a d-dimensional state
+        assert len(sim.rep_chunks(200, 256, 1000, 3)[0]) == 2
+        assert len(sim.rep_chunks(200, 256, 1000, 1)[0]) == 8
 
     def test_at_least_one_repetition(self):
         with pytest.raises(ValueError, match="reps"):
@@ -236,6 +241,6 @@ class TestBatchedRepetitions:
         paths = [_oracle_mean_path(base, feedback, tgrid, 8, 1, ("sign", "sign-init"), r) for r in range(6)]
         first_up = next(r for r, mp in enumerate(paths) if mp[:-1].max() > 0.5)
         assert first_up > 0  # so the repetition number is not the chunk-local 0
-        monkeypatch.setattr(scenarios, "_CHUNK_NOISE_BYTES", 8 * 50 * 8)
+        monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 8 * 50 * 8)
         with pytest.raises(FloatingPointError, match=rf"repetition {first_up}, particle 0, state"):
             scenarios._nplayer_mean_paths(game, feedback, tgrid, 8, 6, 1, ("sign", "sign-init"), 1)
