@@ -108,6 +108,16 @@ def _kind_errors(where: str, value, default) -> list:
     return []
 
 
+_LOG_LEVELS = {"0": logging.WARNING, "1": logging.INFO, "2": logging.DEBUG}
+
+
+def _env_log_level() -> int:
+    raw = os.environ.get("MFGLAB_VERBOSE", "0")
+    if raw not in _LOG_LEVELS:
+        raise ValueError(f"environment variable MFGLAB_VERBOSE must be 0, 1 or 2, got {raw!r}")
+    return _LOG_LEVELS[raw]
+
+
 def _env_threads() -> int:
     raw = os.environ.get("MFGLAB_THREADS", "1")
     try:
@@ -186,16 +196,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = {"0": logging.WARNING, "1": logging.INFO, "2": logging.DEBUG}.get(
-        os.environ.get("MFGLAB_VERBOSE", "0"), logging.INFO)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    """Run the command line; MFGLAB_VERBOSE sets the mfglab log level for the call.
+
+    Log records go to the root logger's handlers, a stderr handler unless
+    the caller installed its own, and never into the report files.
+    """
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = log.level
     try:
+        log.setLevel(_env_log_level())
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.setLevel(previous)
 
 
 if __name__ == "__main__":

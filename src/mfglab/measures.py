@@ -31,11 +31,17 @@ class EmpiricalFlow:
 
     @classmethod
     def from_states(cls, grid: TimeGrid, states: np.ndarray) -> "EmpiricalFlow":
-        """Build from per-particle paths shaped (n, M+1, d)."""
-        return cls(grid, np.swapaxes(np.asarray(states, dtype=float), 0, 1).copy())
+        """Build from per-particle paths shaped (n, M+1, d).
+
+        The paths are copied only when their memory is not already
+        time-major; a swapaxes view of (M+1, n, d) memory, as the simulators
+        return, is wrapped as it is, so the flow and the paths share memory.
+        """
+        return cls(grid, np.ascontiguousarray(np.swapaxes(np.asarray(states, dtype=float), 0, 1)))
 
     @classmethod
     def from_ensemble(cls, ensemble) -> "EmpiricalFlow":
+        """The ensemble's clouds as a flow; it aliases ensemble.states, with no copy."""
         return cls.from_states(ensemble.grid, ensemble.states)
 
     @property
@@ -56,9 +62,6 @@ class EmpiricalFlow:
 
     def mean_path(self) -> np.ndarray:
         return self.samples.mean(axis=1)
-
-    def subsample(self, indices) -> "EmpiricalFlow":
-        return EmpiricalFlow(self.grid, self.samples[:, indices, :])
 
 
 class DeterministicFlow:

@@ -9,6 +9,7 @@ never assumed.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from .measures import EmpiricalFlow, flow_distance
 from .rng import derive_seed, initial_cloud, philox, sample_brownian
 from .sim import simulate_frozen_flow
 
+log = logging.getLogger(__name__)
+
 
 def candidate_flow(game: GameSpec, tgrid: TimeGrid, mean_path, n_particles: int, seed: int) -> EmpiricalFlow:
     """Sample cloud for the law of (mean_path(t) + W_t) started from the game's
@@ -32,7 +35,9 @@ def candidate_flow(game: GameSpec, tgrid: TimeGrid, mean_path, n_particles: int,
         raise ValueError(f"mean path must be ({tgrid.n_steps + 1}, {game.dim}), got {mean_path.shape}")
     bundle = sample_brownian(derive_seed(seed, "candidate"), n_particles, tgrid, game.dim)
     x0 = initial_cloud(derive_seed(seed, "candidate-init"), n_particles, game.initial.sampler())
-    paths = x0[:, None, :] + bundle.partial_sums() + (mean_path - mean_path[0])[None, :, :]
+    paths = bundle.partial_sums()  # (n, M+1, d) view of time-major memory
+    paths += x0[:, None, :]  # in place: x0 + W, then + the mean shift
+    paths += (mean_path - mean_path[0])[None, :, :]
     return EmpiricalFlow.from_states(tgrid, paths)
 
 
@@ -106,6 +111,7 @@ def picard_mfe(
 
         residuals.append(flow_distance(mixed, flow, metric))
         endpoints.append(float(mixed.mean_path()[-1, 0]))
+        log.info("picard iteration %d: residual %.6g, mean endpoint %.6g", k, residuals[-1], endpoints[-1])
         flow = mixed
         if residuals[-1] <= tol:
             converged = True

@@ -52,11 +52,6 @@ class GirsanovWeights:
     def terminal(self) -> np.ndarray:
         return self.zeta[:, -1]
 
-    def entropy_proxy(self) -> float:
-        """Sample mean of zeta_T log zeta_T, the plug-in relative entropy."""
-        zT = self.terminal
-        return float(np.mean(zT * np.log(np.maximum(zT, 1e-300))))
-
 
 def _drift_difference(game: GameSpec, ensemble: ParticleEnsemble, stats_path, old, new) -> np.ndarray:
     """Xi (n, M, d): drift under new minus drift under old along stored paths."""

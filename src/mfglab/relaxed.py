@@ -130,7 +130,7 @@ def occupation_samples(field: ControlField, x=None) -> np.ndarray:
     if field.is_relaxed:
         raise ValueError("occupation samples are defined for pure fields; chatter first")
     idx = _node_index_for(field, x)
-    a = np.stack([field.values[(j,) + idx] for j in range(field.tgrid.n_steps)])  # (M, ka)
+    a = field.values[(slice(None),) + idx]  # (M, ka)
     ts = (np.arange(field.tgrid.n_steps) + 0.5) * field.tgrid.dt
     return np.column_stack([ts, a])
 

@@ -18,6 +18,12 @@ from .grids import TimeGrid
 
 _MASK63 = (1 << 63) - 1
 
+# Per-particle streams are drawn into a particle-major block of at most this
+# many bytes and transposed into the time-major increments: numpy refuses a
+# strided out=, and one particle at a time would transpose at a cache miss
+# per value.
+_NOISE_BLOCK_BYTES = 1 << 20
+
 
 def _seed_int(value, what: str) -> int:
     """value as a Python int; numpy integers map to the same int, bools and the rest are refused."""
@@ -50,6 +56,8 @@ class BrownianBundle:
     """Increments dW for n particles on a uniform grid, shape (n, M, dim).
 
     increments[k, j] is Normal(0, dt I) and belongs to step t_j -> t_{j+1}.
+    Bundles drawn by sample_brownian hold it as a view of time-major
+    (M, n, dim) memory, so each step's increments are one contiguous slab.
     """
 
     seed: int
@@ -59,14 +67,23 @@ class BrownianBundle:
     increments: np.ndarray
 
     def partial_sums(self) -> np.ndarray:
-        """Brownian path values W_{t_j} at the grid nodes, shape (n, M+1, dim)."""
-        w = np.zeros((self.n, self.grid.n_steps + 1, self.dim))
-        np.cumsum(self.increments, axis=1, out=w[:, 1:])
-        return w
+        """Brownian path values W_{t_j} at the grid nodes, shape (n, M+1, dim).
+
+        The result is a view of time-major (M+1, n, dim) memory. It is summed
+        step by step, which gives the bits of a cumulative sum along time.
+        """
+        dw = np.swapaxes(self.increments, 0, 1)
+        w = np.empty((self.grid.n_steps + 1, self.n, self.dim))
+        w[0] = 0.0
+        for j in range(self.grid.n_steps):
+            np.add(w[j], dw[j], out=w[j + 1])
+        return np.swapaxes(w, 0, 1)
 
     def averaged(self) -> np.ndarray:
         """Increments of the normalized average n^{-1/2} sum_k W^k, shape (M, dim)."""
-        return self.increments.sum(axis=0) / np.sqrt(self.n)
+        # summed over a particle-major copy: numpy sums a contiguous axis
+        # pairwise, which would move the last bits
+        return np.ascontiguousarray(self.increments).sum(axis=0) / np.sqrt(self.n)
 
 
 class _PhiloxStreams:
@@ -93,9 +110,10 @@ class _PhiloxStreams:
 def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.ndarray | None = None) -> BrownianBundle:
     """Draw a BrownianBundle; same (seed, n, M, dim, dt) gives identical bits.
 
-    out, if given, is a C-contiguous float64 (n, M, dim) array that receives
-    the increments and backs the bundle, so batched simulations can draw each
-    repetition straight into its slot of a chunk buffer.
+    The increments are stored time-major: out, if given, is a C-contiguous
+    float64 (M, n, dim) array that receives them and backs the bundle, so
+    batched simulations can draw each repetition straight into its slot of a
+    chunk buffer. bundle.increments is its (n, M, dim) view.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
@@ -103,16 +121,21 @@ def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.
         raise ValueError(f"need dim >= 1, got {dim}")
     if not 0 <= seed <= np.iinfo(np.uint64).max:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    shape = (n, grid.n_steps, dim)
+    M = grid.n_steps
+    shape = (M, n, dim)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 {shape} array, got {out.dtype} {out.shape}")
     streams = _PhiloxStreams()
-    for k in range(n):
-        streams.stream(seed, k).standard_normal(out=out[k])
-    out *= np.sqrt(grid.dt)
-    return BrownianBundle(seed=seed, grid=grid, n=n, dim=dim, increments=out)
+    scale = np.sqrt(grid.dt)
+    block = np.empty((min(n, max(1, _NOISE_BLOCK_BYTES // (M * dim * 8))), M, dim))
+    for k0 in range(0, n, block.shape[0]):
+        k1 = min(k0 + block.shape[0], n)
+        for k in range(k0, k1):
+            streams.stream(seed, k).standard_normal(out=block[k - k0])
+        np.multiply(np.swapaxes(block[: k1 - k0], 0, 1), scale, out=out[:, k0:k1])
+    return BrownianBundle(seed=seed, grid=grid, n=n, dim=dim, increments=np.swapaxes(out, 0, 1))
 
 
 def philox(seed: int, k: int) -> np.random.Generator:

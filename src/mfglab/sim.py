@@ -13,6 +13,11 @@ callers pass R independent repetitions at once, shaped (R, n, d), so the
 per-step Python work is paid once per batch instead of once per repetition.
 Batched callers split their repetitions into chunks with rep_chunks() and
 draw each chunk's noise and initial clouds with chunk_inputs().
+
+Noise, states and drifts live in time-major memory, (M, ..., n, d) per
+repetition, so each Euler step reads and writes one contiguous slab; the
+documented particle-major shapes, (n, M, d) and (n, M+1, d), are swapaxes
+views of it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,11 @@ _CHUNK_NOISE_BYTES = 16 << 20
 
 @dataclass
 class ParticleEnsemble:
-    """Simulated paths: states (n, M+1, d) on a shared TimeGrid."""
+    """Simulated paths: states (n, M+1, d) on a shared TimeGrid.
+
+    The simulators here return states and drifts as views of time-major
+    (M+1, n, d) and (M, n, d) memory.
+    """
 
     grid: TimeGrid
     states: np.ndarray
@@ -160,16 +169,17 @@ def chunk_inputs(game: GameSpec, chunk: range, n: int, grid: TimeGrid, seed: int
 
     Repetition r draws its noise and initial cloud from the seeds derived
     from (seed, label, n, r) for the noise and initial-cloud labels; its
-    noise goes straight into its slot of the chunk buffer.
+    noise goes straight into its slot of the chunk buffer, which is laid out
+    (R, M, n, d) and returned as its (R, n, M, d) view.
     """
     noise_label, init_label = labels
-    noise = np.empty((len(chunk), n, grid.n_steps, game.dim))
+    noise = np.empty((len(chunk), grid.n_steps, n, game.dim))
     x0 = np.empty((len(chunk), n, game.dim))
     sampler = game.initial.sampler()
     for i, r in enumerate(chunk):
         sample_brownian(derive_seed(seed, noise_label, n, r), n, grid, game.dim, out=noise[i])
         x0[i] = initial_cloud(derive_seed(seed, init_label, n, r), n, sampler)
-    return noise, x0
+    return np.swapaxes(noise, 1, 2), x0
 
 
 def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: str = "full", first_rep: int = 0):
@@ -177,10 +187,14 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
 
     noise holds the increments, shaped (..., n, M, d), and init the starting
     states (..., n, d); the leading axes, if any, index independent
-    repetitions. drift(j, x, out) writes the drift at step j for states x
-    into out, shaped like x; every step is checked for non-finite drifts.
+    repetitions. Each step reads noise[..., :, j, :], which is one contiguous
+    slab when noise is a view of time-major (..., M, n, d) memory, as
+    sample_brownian and chunk_inputs draw it. drift(j, x, out) writes the
+    drift at step j for states x into out, shaped like x; every step is
+    checked for non-finite drifts.
 
-    record="full" returns (states (..., n, M+1, d), drifts (..., n, M, d));
+    record="full" returns (states (..., n, M+1, d), drifts (..., n, M, d)),
+    views of time-major (..., M+1, n, d) and (..., M, n, d) memory;
     record="mean" returns only the particle-mean path (..., M+1, d) and
     record="last" only the final states (..., n, d), so a batch needs no
     more memory than its noise. first_rep is the number of the batch's
@@ -190,30 +204,36 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     if noise.shape[-2] != M or noise.shape[:-2] != init.shape[:-1] or noise.shape[-1] != init.shape[-1]:
         raise ValueError(f"noise {noise.shape} does not fit initial states {init.shape} on {M} steps")
     dt, times = grid.dt, grid.times
-    lead = init.shape[:-1]
+    dw = np.swapaxes(noise, -3, -2)  # (..., M, n, d)
     if record == "full":
-        states = np.empty(lead + (M + 1,) + init.shape[-1:])
-        drifts = np.empty(noise.shape)
-        states[..., 0, :] = init
+        states = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-2:])
+        drifts = np.empty(dw.shape)
+        states[..., 0, :, :] = init
+        x = states[..., 0, :, :]
     elif record in ("mean", "last"):
         if record == "mean":
-            means = np.empty(lead[:-1] + (M + 1,) + init.shape[-1:])
+            means = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-1:])
         step = np.empty(init.shape)
+        pair = np.empty((2,) + init.shape)  # the next states alternate between these
+        x = init
     else:
         raise ValueError(f"record must be 'full', 'mean' or 'last', got {record!r}")
-    x = init
     for j in range(M):
         if record == "full":
-            step = drifts[..., j, :]
-        elif record == "mean":
-            means[..., j, :] = np.add.reduce(x, axis=-2)
+            step, nxt = drifts[..., j, :, :], states[..., j + 1, :, :]
+        else:
+            nxt = pair[j % 2]
+            if record == "mean":
+                means[..., j, :] = np.add.reduce(x, axis=-2)
         drift(j, x, step)
         _check_finite(step, "drift", times[j], x, first_rep)
-        x = x + step * dt + noise[..., j, :]
-        if record == "full":
-            states[..., j + 1, :] = x
+        # x + step * dt + dW, in that order, written straight into the next states
+        np.multiply(step, dt, out=nxt)
+        np.add(x, nxt, out=nxt)
+        np.add(nxt, dw[..., j, :, :], out=nxt)
+        x = nxt
     if record == "full":
-        return states, drifts
+        return np.swapaxes(states, -3, -2), np.swapaxes(drifts, -3, -2)
     if record == "last":
         return x
     means[..., M, :] = np.add.reduce(x, axis=-2)
@@ -294,7 +314,8 @@ def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> Particle
         table = np.asarray(drift, dtype=float)
         if table.shape != (n, M, d):
             raise ValueError(f"drift array must be ({n}, {M}, {d}), got {table.shape}")
-        drift = lambda j, x: table[:, j]
+        table = np.ascontiguousarray(np.swapaxes(table, 0, 1))  # (M, n, d): one slab per step
+        drift = lambda j, x: table[j]
 
     def fill(j, x, out):
         out[...] = drift(j, x)

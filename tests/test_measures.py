@@ -15,6 +15,7 @@ from mfglab.measures import (
     wasserstein_trunc,
 )
 from mfglab.rng import sample_brownian
+from mfglab.sim import integrate_paths
 
 
 class TestWasserstein1:
@@ -184,6 +185,19 @@ class TestFlows:
         with pytest.raises(ValueError):
             flow_distance(f, g)
 
+    def test_flows_alias_time_major_ensembles(self):
+        tg = TimeGrid(1.0, 12)
+        ens = integrate_paths(lambda j, x: np.sin(x) + j, sample_brownian(2, 30, tg, 2), np.zeros((30, 2)))
+        flow = EmpiricalFlow.from_ensemble(ens)
+        assert np.swapaxes(ens.states, 0, 1).flags.c_contiguous
+        assert np.shares_memory(flow.samples, ens.states)
+        assert np.array_equal(flow.samples, np.swapaxes(ens.states, 0, 1))
+        # particle-major paths are copied into time-major memory
+        paths = np.ascontiguousarray(ens.states)
+        copied = EmpiricalFlow.from_states(tg, paths)
+        assert copied.samples.flags.c_contiguous and not np.shares_memory(copied.samples, paths)
+        assert np.array_equal(copied.samples, flow.samples)
+
     def test_deterministic_flow_stats(self):
         tg = TimeGrid(2.0, 8)
         mean = np.linspace(0.0, 2.0, 9)[:, None]
@@ -192,9 +206,3 @@ class TestFlows:
         assert np.allclose([s.mean[0] for s in stats], mean[:, 0])
         # default dispersion follows the driftless diffusion
         assert np.allclose([s.var[0] for s in stats], tg.times)
-
-    def test_subsample(self):
-        f = _flow_from_constant_drift(0.0, n=50)
-        sub = f.subsample(np.arange(10))
-        assert sub.samples.shape[1] == 10
-        assert np.array_equal(sub.samples, f.samples[:, :10])

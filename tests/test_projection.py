@@ -32,6 +32,20 @@ def _posterior_mean_oracle(x, t):
 
 
 class TestProjectDrift:
+    def test_slice_means_match_a_particle_major_sum(self):
+        # the drifts are time-major, so the slice means sum over a contiguous
+        # axis, pairwise; a particle-major sum may differ in the last bits only
+        tg = TimeGrid(1.0, 30)
+        n = 5000
+        drift = np.random.default_rng(derive_seed(1, "random-drift")).normal(size=(n, tg.n_steps, 1))
+        ens = integrate_paths(drift, sample_brownian(derive_seed(1, "w"), n, tg, 1), np.zeros((n, 1)))
+        table = project_drift(ens, bins=25, min_count=150)
+        oracle = np.ascontiguousarray(ens.drifts).mean(axis=0)
+        assert np.array_equal(np.ascontiguousarray(ens.drifts), drift)
+        assert np.abs(table.slice_means - oracle).max() <= 1e-12
+        assert table.fallback.any()
+        assert np.abs(table.values[table.fallback] - np.broadcast_to(oracle[:, None], table.values.shape)[table.fallback]).max() <= 1e-12
+
     def test_constant_drift_recovered(self):
         tg = TimeGrid(1.0, 40)
         n = 2000

@@ -14,6 +14,7 @@ from mfglab.relaxed import (
     chattering_approximation,
     constant_relaxed,
     largest_remainder,
+    occupation_samples,
     occupation_w1,
     strict_selection,
 )
@@ -155,6 +156,30 @@ class TestOccupationDistances:
             occupation_w1(rel, rel)
         with pytest.raises(ValueError):
             occupation_w1(chat, chat)
+
+    def test_occupation_samples_match_the_per_step_loop(self):
+        def per_step(field, x=None):
+            # the per-step gather occupation_samples replaced
+            if x is None:
+                idx = (0,) * field.sgrid.dim
+            else:
+                idx = field.sgrid.nearest_index(np.atleast_1d(np.asarray(x, dtype=float)))
+            a = np.stack([field.values[(j,) + idx] for j in range(field.tgrid.n_steps)])
+            ts = (np.arange(field.tgrid.n_steps) + 0.5) * field.tgrid.dt
+            return np.column_stack([ts, a])
+
+        tg = TimeGrid(1.0, 7)
+        ag = _three_atoms()
+        rng = np.random.default_rng(derive_seed(6, "rows"))
+        flat = constant_relaxed(tg, ag, rng.dirichlet(np.ones(3), size=tg.n_steps))
+        sg = SpatialGrid(np.array([-1.0]), np.array([1.0]), 5)
+        varying = ControlField.relaxed(tg, sg, ag, rng.dirichlet(np.ones(3), size=(tg.n_steps, 5)))
+        for N in (1, 4, 9):
+            chat = chattering_approximation(flat, N)
+            assert np.array_equal(occupation_samples(chat), per_step(chat))
+            chat = chattering_approximation(varying, N)
+            for x in (-1.0, -0.3, 0.2, 0.99, 5.0):
+                assert np.array_equal(occupation_samples(chat, x), per_step(chat, x))
 
     def test_spatially_varying_field_needs_a_state(self):
         tg = TimeGrid(1.0, 4)

@@ -116,11 +116,12 @@ class TestSampleBrownian:
         assert np.array_equal(got.integers(0, 10**9, size=7), fresh.integers(0, 10**9, size=7))
 
     def test_out_receives_the_increments(self):
+        # out is time-major, (M, n, dim); the bundle reads it as (n, M, dim)
         tg = TimeGrid(1.0, 12)
-        buf = np.zeros((3, 5, 12, 2))
+        buf = np.zeros((3, 12, 5, 2))
         b = sample_brownian(4, 5, tg, 2, out=buf[1])
         assert np.shares_memory(b.increments, buf[1])
-        assert np.array_equal(buf[1], sample_brownian(4, 5, tg, 2).increments)
+        assert np.array_equal(np.swapaxes(buf[1], 0, 1), sample_brownian(4, 5, tg, 2).increments)
         assert not buf[0].any() and not buf[2].any()
 
     def test_out_must_fit(self):
@@ -135,6 +136,50 @@ class TestSampleBrownian:
             sample_brownian(1, 0, tg)
         with pytest.raises(ValueError):
             sample_brownian(1, 4, tg, dim=0)
+
+
+class TestTimeMajorNoise:
+    # 256 particles of 256 steps x 2 dims fill one 1 MiB draw block, so these
+    # sizes sit on both sides of the first and second block boundaries
+    SIZES = [1, 255, 256, 257, 513]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_each_particle_is_its_own_fresh_stream(self, n):
+        tg = TimeGrid(1.0, 256)
+        b = sample_brownian(77, n, tg, 2)
+        for k in range(n):
+            expect = _fresh_stream(77, k).standard_normal((256, 2)) * np.sqrt(tg.dt)
+            assert np.array_equal(b.increments[k], expect)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_growing_the_bundle_by_one_keeps_every_particle(self, n):
+        tg = TimeGrid(1.0, 256)
+        small, big = sample_brownian(78, n, tg, 2), sample_brownian(78, n + 1, tg, 2)
+        assert np.array_equal(big.increments[:n], small.increments)
+
+    def test_increments_view_time_major_memory(self):
+        b = sample_brownian(3, 300, TimeGrid(1.0, 40), 2)
+        assert b.increments.shape == (300, 40, 2)
+        assert np.swapaxes(b.increments, 0, 1).flags.c_contiguous
+        assert np.swapaxes(b.partial_sums(), 0, 1).flags.c_contiguous
+
+    def test_out_must_be_a_contiguous_float64_time_major_buffer(self):
+        tg = TimeGrid(1.0, 4)
+        for bad in (np.zeros((3, 4, 1)), np.zeros((4, 3, 1), dtype=np.float32), np.zeros((4, 6, 1))[:, ::2],
+                    np.zeros((3, 4, 1)).transpose(1, 0, 2)):
+            with pytest.raises(ValueError, match=r"out must be a C-contiguous float64 \(4, 3, 1\) array"):
+                sample_brownian(1, 3, tg, 1, out=bad)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_partial_sums_and_average_keep_their_bits(self, dim):
+        # the particle-major reductions the time-major layout replaced; with
+        # dim 1 a plain sum over the contiguous particle axis goes pairwise
+        # and moves the last bits
+        b = sample_brownian(5, 513, TimeGrid(1.0, 30), dim)
+        inc = np.ascontiguousarray(b.increments)
+        assert np.array_equal(b.partial_sums()[:, 1:], np.cumsum(inc, axis=1))
+        assert np.all(b.partial_sums()[:, 0] == 0.0)
+        assert np.array_equal(b.averaged(), inc.sum(axis=0) / np.sqrt(513))
 
 
 class TestInitialCloud:

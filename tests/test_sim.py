@@ -19,6 +19,7 @@ from mfglab.relaxed import constant_relaxed
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
 from mfglab.sim import (
     _feedback_groups,
+    chunk_inputs,
     control_drift,
     control_running,
     euler,
@@ -357,6 +358,79 @@ class TestBatchedEuler:
         drift = nplayer_drift(game, ControlField.constant(tg, 0.0), tg, 4)
         with pytest.raises(FloatingPointError, match=r"t=0, repetition 1, particle 0, state \[0\.1\]"):
             euler(drift, noise, x0, tg, record="mean")
+
+
+def _oracle_euler(drift, noise, init, grid, record="full"):
+    """euler() as it stood with particle-major memory: states (..., n, M+1, d)."""
+    M = grid.n_steps
+    dt, times = grid.dt, grid.times
+    lead = init.shape[:-1]
+    if record == "full":
+        states = np.empty(lead + (M + 1,) + init.shape[-1:])
+        drifts = np.empty(noise.shape)
+        states[..., 0, :] = init
+    else:
+        if record == "mean":
+            means = np.empty(lead[:-1] + (M + 1,) + init.shape[-1:])
+        step = np.empty(init.shape)
+    x = init
+    for j in range(M):
+        if record == "full":
+            step = drifts[..., j, :]
+        elif record == "mean":
+            means[..., j, :] = np.add.reduce(x, axis=-2)
+        drift(j, x, step)
+        x = x + step * dt + noise[..., j, :]
+        if record == "full":
+            states[..., j + 1, :] = x
+    if record == "full":
+        return states, drifts
+    if record == "last":
+        return x
+    means[..., M, :] = np.add.reduce(x, axis=-2)
+    means /= init.shape[-2]
+    return means
+
+
+class TestTimeMajorEulerMatchesParticleMajorLoop:
+    def _cases(self):
+        sign = sign_drift()
+        tg = TimeGrid(sign.horizon, 45)
+        # over 128 players, so the clouds' mean and variance sum pairwise
+        noise, x0 = chunk_inputs(sign, range(3), 300, tg, 5, ("w", "x0"))
+        coupled = nplayer_drift(sign, sign_of_mean(tg, start=0.1), tg, 300)
+        yield "single", coupled, noise[1], x0[1], tg
+        yield "batched", coupled, noise, x0, tg
+
+        def two_dim(j, x, out):
+            out[...] = np.tanh(x[..., ::-1]) * (j % 3) - x.mean(axis=-2, keepdims=True)
+
+        tg2 = TimeGrid(1.0, 30)
+        bundle = sample_brownian(6, 17, tg2, 2)
+        init = np.random.default_rng(3).normal(size=(17, 2))
+        yield "two_dim", two_dim, bundle.increments, init, tg2
+        # a particle-major noise array steps to the same bits
+        yield "particle_major_noise", two_dim, np.ascontiguousarray(bundle.increments), init, tg2
+
+    def test_full_mean_and_last_records(self):
+        for name, drift, noise, init, tg in self._cases():
+            states, drifts = euler(drift, noise, init, tg)
+            expect_states, expect_drifts = _oracle_euler(drift, np.ascontiguousarray(noise), init, tg)
+            assert np.array_equal(states, expect_states), name
+            assert np.array_equal(drifts, expect_drifts), name
+            for record in ("mean", "last"):
+                got = euler(drift, noise, init, tg, record=record)
+                assert np.array_equal(got, _oracle_euler(drift, np.ascontiguousarray(noise), init, tg, record)), (name, record)
+
+    def test_records_view_time_major_memory(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 20, 15)
+        noise, _ = chunk_inputs(game, range(2), 20, tg, 1, ("w", "x0"))
+        assert noise.shape == (2, 20, 15, 1) and np.swapaxes(noise, 1, 2).flags.c_contiguous
+        ens = simulate_nplayer(game, sign_of_mean(tg), bundle, x0)
+        assert ens.states.shape == (20, 16, 1) and ens.drifts.shape == (20, 15, 1)
+        assert np.swapaxes(ens.states, 0, 1).flags.c_contiguous
+        assert np.swapaxes(ens.drifts, 0, 1).flags.c_contiguous
 
 
 # The relaxed branches of control_drift and control_running as they stood,
