@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="path to a JSON config file")
     run.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker threads, each taking whole chunks of repetitions (default MFGLAB_THREADS or 1)")
+                     help="thread count, validated and recorded; runs are serial (default MFGLAB_THREADS or 1)")
     run.add_argument("--out", default=None, help="output directory (default mfglab_out/<scenario>)")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config field, e.g. --set params.reps=50")

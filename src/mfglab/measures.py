@@ -17,10 +17,15 @@ from .rng import philox
 
 
 class EmpiricalFlow:
-    """Time-indexed particle clouds: samples[j] is the (n, d) cloud at t_j."""
+    """Time-indexed particle clouds: samples[j] is the (n, d) cloud at t_j.
+
+    samples is always stored C-contiguous (time-major), so each time slice is
+    one contiguous block for the sorts and statistics that read it; other
+    layouts are copied once on construction.
+    """
 
     def __init__(self, grid: TimeGrid, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=float)
+        samples = np.ascontiguousarray(samples, dtype=float)
         if samples.ndim != 3:
             raise ValueError(f"samples must be (M+1, n, d), got shape {samples.shape}")
         if samples.shape[0] != grid.n_steps + 1:
@@ -37,7 +42,7 @@ class EmpiricalFlow:
         time-major; a swapaxes view of (M+1, n, d) memory, as the simulators
         return, is wrapped as it is, so the flow and the paths share memory.
         """
-        return cls(grid, np.ascontiguousarray(np.swapaxes(np.asarray(states, dtype=float), 0, 1)))
+        return cls(grid, np.swapaxes(states, 0, 1))
 
     @classmethod
     def from_ensemble(cls, ensemble) -> "EmpiricalFlow":

@@ -41,6 +41,13 @@ def candidate_flow(game: GameSpec, tgrid: TimeGrid, mean_path, n_particles: int,
     return EmpiricalFlow.from_states(tgrid, paths)
 
 
+def _positive_count(value, name: str) -> int:
+    """value as a positive int; bools, non-integers and values below 1 are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class PicardResult:
     flow: EmpiricalFlow
@@ -70,7 +77,8 @@ def picard_mfe(
     Each iteration solves the dynamic program against the current flow, plays
     the resulting feedback with fresh noise, and replaces a damping fraction
     of the particle paths with fresh ones (path-coherent subsampling, so time
-    slices stay coupled). The residual is the worst-time distance between
+    slices stay coupled); only the round(damping * n) fresh paths that are
+    kept get simulated. The residual is the worst-time distance between
     consecutive flows; iteration stops at tol or reports non-convergence.
 
     indifference > 0 treats actions whose dynamic-programming advantage is
@@ -91,6 +99,7 @@ def picard_mfe(
         agrid = default_action_grid(game)
     tie_break = "mean_drift" if indifference > 0.0 else "lowest"
 
+    n_new = int(round(damping * n_particles))
     flow = init_flow
     control = None
     residuals: list = []
@@ -99,15 +108,20 @@ def picard_mfe(
     k = 0
     for k in range(1, max_iter + 1):
         control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference, tie_break=tie_break).control
-        bundle = sample_brownian(derive_seed(seed, "picard", k), n_particles, tgrid, game.dim)
-        x0 = initial_cloud(derive_seed(seed, "picard-init", k), n_particles, game.initial.sampler())
-        fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
-
-        n_new = int(round(damping * n_particles))
         mixer = philox(derive_seed(seed, "mix", k), 0)
         take_new = mixer.choice(n_particles, size=n_new, replace=False)
         take_old = mixer.choice(n_particles, size=n_particles - n_new, replace=False)
-        mixed = EmpiricalFlow(tgrid, np.concatenate([fresh.samples[:, take_new, :], flow.samples[:, take_old, :]], axis=1))
+
+        # fresh particle i is particle take_new[i] of a full fresh cloud: same
+        # noise stream, same initial state, and frozen-flow particles never
+        # interact, so only the kept ones are simulated
+        samples = np.empty(flow.samples.shape)
+        if n_new:
+            bundle = sample_brownian(derive_seed(seed, "picard", k), n_new, tgrid, game.dim, particles=take_new)
+            x0 = initial_cloud(derive_seed(seed, "picard-init", k), n_particles, game.initial.sampler())[take_new]
+            samples[:, :n_new] = np.swapaxes(simulate_frozen_flow(game, control, flow, bundle, x0).states, 0, 1)
+        np.take(flow.samples, take_old, axis=1, out=samples[:, n_new:], mode="clip")
+        mixed = EmpiricalFlow(tgrid, samples)
 
         residuals.append(flow_distance(mixed, flow, metric))
         endpoints.append(float(mixed.mean_path()[-1, 0]))
@@ -137,7 +151,7 @@ def consistency_residual(
     against same_law_baseline to judge what the noise floor is.
     """
     tgrid = flow.grid
-    n = n_particles or flow.n_particles
+    n = flow.n_particles if n_particles is None else _positive_count(n_particles, "n_particles")
     bundle = sample_brownian(derive_seed(seed, "consistency"), n, tgrid, game.dim)
     x0 = initial_cloud(derive_seed(seed, "consistency-init"), n, game.initial.sampler())
     fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
@@ -160,7 +174,8 @@ def same_law_baseline(
     be expected to fall below it.
     """
     tgrid = flow.grid
-    n = n_particles or flow.n_particles
+    n = flow.n_particles if n_particles is None else _positive_count(n_particles, "n_particles")
+    reps = _positive_count(reps, "reps")
     vals = []
     for r in range(reps):
         ens = []

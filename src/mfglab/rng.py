@@ -107,13 +107,32 @@ class _PhiloxStreams:
         return self._gen
 
 
-def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.ndarray | None = None) -> BrownianBundle:
+def _stream_indices(particles, n: int) -> list:
+    """particles as a list of n Python ints, each a valid Philox stream index."""
+    ids = np.asarray(particles)
+    if ids.ndim != 1 or ids.shape[0] != n:
+        raise ValueError(f"particles must be a 1-d sequence of {n} stream indices, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"particles must hold integers, got dtype {ids.dtype}")
+    if ids.min() < 0:
+        raise ValueError(f"particles must be non-negative stream indices, got {ids.min()}")
+    return ids.tolist()
+
+
+def sample_brownian(
+    seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.ndarray | None = None, particles=None
+) -> BrownianBundle:
     """Draw a BrownianBundle; same (seed, n, M, dim, dt) gives identical bits.
 
     The increments are stored time-major: out, if given, is a C-contiguous
     float64 (M, n, dim) array that receives them and backs the bundle, so
     batched simulations can draw each repetition straight into its slot of a
     chunk buffer. bundle.increments is its (n, M, dim) view.
+
+    particles, if given, is a sequence of n stream indices, and row i of the
+    bundle is drawn from stream particles[i]: the bundle then equals rows
+    particles of a bundle drawn over all streams, without drawing the rest.
+    The default is range(n).
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
@@ -121,6 +140,7 @@ def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.
         raise ValueError(f"need dim >= 1, got {dim}")
     if not 0 <= seed <= np.iinfo(np.uint64).max:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    particles = range(n) if particles is None else _stream_indices(particles, n)
     M = grid.n_steps
     shape = (M, n, dim)
     if out is None:
@@ -132,8 +152,8 @@ def sample_brownian(seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.
     block = np.empty((min(n, max(1, _NOISE_BLOCK_BYTES // (M * dim * 8))), M, dim))
     for k0 in range(0, n, block.shape[0]):
         k1 = min(k0 + block.shape[0], n)
-        for k in range(k0, k1):
-            streams.stream(seed, k).standard_normal(out=block[k - k0])
+        for row, k in enumerate(particles[k0:k1]):
+            streams.stream(seed, k).standard_normal(out=block[row])
         np.multiply(np.swapaxes(block[: k1 - k0], 0, 1), scale, out=out[:, k0:k1])
     return BrownianBundle(seed=seed, grid=grid, n=n, dim=dim, increments=np.swapaxes(out, 0, 1))
 

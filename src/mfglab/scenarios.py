@@ -4,14 +4,14 @@ Each scenario runs a fixed-seed batch of simulations, aggregates statistics,
 evaluates its named checks, and returns a ScenarioReport that can be written
 as CSV tables, a text summary, and optional SVG plots. Repetitions are
 independent, keyed by derived seeds, and stepped together in fixed chunks
-through one batched Euler loop; worker threads take whole chunks, and results
-are reduced in repetition order, so they are identical for any thread count.
+through one batched Euler loop, in repetition order. The runners still take
+a thread count, but run serially whatever it is (a thread pool over chunks
+was slower on two cores), so results are identical for any thread count.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,19 +85,13 @@ class ScenarioReport:
             (out / "curves.svg").write_text(svg_line_plot(self.curves, title=self.scenario))
 
 
-def _map_ordered(worker, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, items))
-    return [worker(item) for item in items]
-
-
 def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed: int, labels, threads: int) -> np.ndarray:
     """Particle-mean paths (reps, M+1) of independent 1-d n-player runs.
 
     Repetition r draws its noise and initial cloud from the seeds derived
     from (seed, label, n, r) for the noise and initial-cloud labels. Each
-    chunk of repetitions is stepped as a batch.
+    chunk of repetitions is stepped as a batch, one chunk after another
+    whatever threads is.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -107,7 +101,7 @@ def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed
         noise, x0 = chunk_inputs(game, chunk, n, tgrid, seed, labels)
         return euler(drift, noise, x0, tgrid, record="mean", first_rep=chunk.start)[..., 0]
 
-    return np.concatenate(_map_ordered(run_chunk, rep_chunks(reps, n, tgrid.n_steps, game.dim), threads))
+    return np.concatenate([run_chunk(chunk) for chunk in rep_chunks(reps, n, tgrid.n_steps, game.dim)])
 
 
 def run_sign_drift(
@@ -302,7 +296,7 @@ def run_monotone_uniqueness(
         init = candidate_flow(game, tgrid, c * times, picard_particles, derive_seed(seed, "pic-init", k))
         return picard_mfe(game, init, seed=derive_seed(seed, "picard", k))
 
-    solutions = _map_ordered(solve_from, list(enumerate(picard_inits)), threads)
+    solutions = [solve_from(item) for item in enumerate(picard_inits)]
     for (k, c), res in zip(enumerate(picard_inits), solutions):
         report.rows.append({
             "init_ramp": c,

@@ -198,6 +198,16 @@ class TestFlows:
         assert copied.samples.flags.c_contiguous and not np.shares_memory(copied.samples, paths)
         assert np.array_equal(copied.samples, flow.samples)
 
+    def test_flows_are_always_stored_time_major(self):
+        tg = TimeGrid(1.0, 10)
+        particle_major = np.random.default_rng(1).normal(size=(7, 11, 2))
+        view = np.swapaxes(particle_major, 0, 1)  # (M+1, n, d) shape, strided memory
+        flow = EmpiricalFlow(tg, view)
+        assert flow.samples.flags.c_contiguous
+        assert np.array_equal(flow.samples, view)
+        contiguous = np.ascontiguousarray(view)
+        assert EmpiricalFlow(tg, contiguous).samples is contiguous
+
     def test_deterministic_flow_stats(self):
         tg = TimeGrid(2.0, 8)
         mean = np.linspace(0.0, 2.0, 9)[:, None]

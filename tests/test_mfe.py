@@ -3,9 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mfglab import mfe
 from mfglab.controls import ControlField
-from mfglab.games import monotone_lq, sign_drift, tracking_lq
+from mfglab.games import InitialLaw, monotone_lq, sign_drift, tracking_lq
 from mfglab.grids import TimeGrid
+from mfglab.hjb import default_action_grid, solve_hjb, stable_spatial_grid
+from mfglab.measures import EmpiricalFlow, flow_distance
 from mfglab.mfe import (
     candidate_flow,
     check_monotonicity,
@@ -13,7 +16,8 @@ from mfglab.mfe import (
     picard_mfe,
     same_law_baseline,
 )
-from mfglab.rng import derive_seed
+from mfglab.rng import derive_seed, initial_cloud, philox, sample_brownian
+from mfglab.sim import simulate_frozen_flow
 
 
 def _ramp_init(game, tg, c, n=8192, seed=0):
@@ -74,6 +78,121 @@ class TestPicard:
         assert res.iterations == 3
 
 
+def _as_built(grid, samples):
+    """A flow around samples exactly as given, whatever their memory layout."""
+    flow = object.__new__(EmpiricalFlow)
+    flow.grid, flow.samples, flow._stats = grid, samples, None
+    return flow
+
+
+def _picard_oracle(game, init_flow, *, damping, tol, max_iter, seed, metric, indifference):
+    """The damped loop as it was before the mix simulated only the kept
+    particles: a full fresh cloud each iteration, mixed by concatenating
+    fancy-indexed gathers (which leaves the flow particle-major)."""
+    tgrid, n = init_flow.grid, init_flow.n_particles
+    sgrid, agrid = stable_spatial_grid(game, tgrid), default_action_grid(game)
+    tie_break = "mean_drift" if indifference > 0.0 else "lowest"
+    flow, residuals, endpoints = init_flow, [], []
+    for k in range(1, max_iter + 1):
+        control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference, tie_break=tie_break).control
+        bundle = sample_brownian(derive_seed(seed, "picard", k), n, tgrid, game.dim)
+        x0 = initial_cloud(derive_seed(seed, "picard-init", k), n, game.initial.sampler())
+        fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
+        n_new = int(round(damping * n))
+        mixer = philox(derive_seed(seed, "mix", k), 0)
+        take_new = mixer.choice(n, size=n_new, replace=False)
+        take_old = mixer.choice(n, size=n - n_new, replace=False)
+        mixed = _as_built(tgrid, np.concatenate([fresh.samples[:, take_new, :], flow.samples[:, take_old, :]], axis=1))
+        residuals.append(flow_distance(mixed, flow, metric))
+        endpoints.append(float(mixed.mean_path()[-1, 0]))
+        flow = mixed
+        if residuals[-1] <= tol:
+            break
+    control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference, tie_break=tie_break).control
+    return flow, control, residuals, endpoints
+
+
+def _spread(game):
+    """game started from a Gaussian cloud, so each particle's initial state is its own."""
+    return dataclasses.replace(game, initial=InitialLaw("gaussian", [0.0], [0.5]))
+
+
+class TestPicardMix:
+    TG = TimeGrid(1.0, 40)
+
+    def _compare(self, game, init, **kw):
+        kw = {"damping": 0.5, "tol": 0.0, "max_iter": 3, "seed": 57, "metric": "w1", "indifference": 0.0, **kw}
+        flow, control, residuals, endpoints = _picard_oracle(game, init, **kw)
+        res = picard_mfe(game, init, **kw)
+        assert np.array_equal(res.flow.samples, flow.samples)
+        assert np.array_equal(res.control.values, control.values)
+        # the oracle's reductions run over particle-major slices, in another
+        # summation order; endpoints are held relative to the size of the
+        # values summed, since a mean near zero cancels
+        np.testing.assert_allclose(res.residuals, residuals, rtol=1e-13, atol=0.0)
+        scale = np.abs(flow.samples[-1, :, 0]).mean()
+        assert np.all(np.abs(np.subtract(res.mean_endpoints, endpoints)) <= 1e-13 * np.maximum(np.abs(endpoints), scale))
+        return res
+
+    @pytest.mark.parametrize("damping", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("metric", ["w1", "w1_trunc", "tv"])
+    def test_flows_and_controls_match_the_full_simulation(self, damping, metric):
+        game = _spread(monotone_lq())
+        self._compare(game, _ramp_init(game, self.TG, 0.5, n=301), damping=damping, metric=metric)
+
+    @pytest.mark.parametrize("damping", [0.3, 1.0])
+    def test_indifference_matches_the_full_simulation(self, damping):
+        game = _spread(sign_drift())
+        self._compare(game, _ramp_init(game, self.TG, 0.0, n=257), damping=damping, indifference=0.05, seed=58)
+
+    def test_tolerance_stop_matches_the_full_simulation(self):
+        game = _spread(monotone_lq())
+        res = self._compare(game, _ramp_init(game, self.TG, 0.5, n=400), tol=0.08, max_iter=10)
+        assert res.converged and res.iterations == 3
+
+    @pytest.mark.parametrize("damping,n", [(0.3, 301), (0.5, 301), (1.0, 64), (0.1, 4)])
+    def test_simulates_only_the_kept_particles(self, damping, n, monkeypatch):
+        drawn = []
+
+        def counting(seed, n_streams, grid, dim=1, **kw):
+            drawn.append(n_streams)
+            return sample_brownian(seed, n_streams, grid, dim, **kw)
+
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=n)
+        monkeypatch.setattr(mfe, "sample_brownian", counting)
+        res = picard_mfe(game, init, damping=damping, tol=0.0, max_iter=3, seed=5)
+        n_new = int(round(damping * n))
+        assert drawn == ([n_new] * res.iterations if n_new else [])
+
+    def test_no_fresh_particle_kept(self):
+        # round(0.1 * 4) == 0: no simulation, the flow is reshuffled old paths
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=4)
+        res = self._compare(game, init, damping=0.1)
+        assert res.residuals == [0.0] and res.converged
+        assert np.array_equal(np.sort(res.flow.samples, axis=1), np.sort(init.samples, axis=1))
+
+    def test_full_damping_keeps_nothing_old(self):
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=64)
+        res = self._compare(game, init, damping=1.0, max_iter=1)
+        x0 = initial_cloud(derive_seed(57, "picard-init", 1), 64, game.initial.sampler())
+        order = philox(derive_seed(57, "mix", 1), 0).choice(64, size=64, replace=False)
+        assert np.array_equal(res.flow.samples[0], x0[order])
+
+    @pytest.mark.parametrize("damping", [0.3, 1.0])
+    def test_returned_flows_are_time_major(self, damping):
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=100)
+        particle_major = EmpiricalFlow(self.TG, np.swapaxes(np.ascontiguousarray(np.swapaxes(init.samples, 0, 1)), 0, 1))
+        for start in (init, particle_major):
+            assert start.samples.flags.c_contiguous
+            for max_iter in (0, 1, 2):
+                res = picard_mfe(game, start, damping=damping, tol=0.0, max_iter=max_iter, seed=3)
+                assert res.flow.samples.flags.c_contiguous
+
+
 class TestConsistency:
     def test_equilibrium_flow_near_baseline(self):
         game = sign_drift()
@@ -102,6 +221,32 @@ class TestConsistency:
         b_big = same_law_baseline(game, flow_big, ctrl, seed=25)
         assert b_big > 0.0
         assert b_big < b_small
+
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5])
+    def test_refuses_bad_particle_counts(self, bad):
+        game = sign_drift()
+        tg = TimeGrid(1.0, 10)
+        flow = _ramp_init(game, tg, 0.0, n=16)
+        ctrl = ControlField.constant(tg, 0.0)
+        with pytest.raises(ValueError, match="n_particles"):
+            consistency_residual(game, flow, ctrl, n_particles=bad)
+        with pytest.raises(ValueError, match="n_particles"):
+            same_law_baseline(game, flow, ctrl, n_particles=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, False, 1.0])
+    def test_baseline_refuses_bad_reps(self, bad):
+        game = sign_drift()
+        tg = TimeGrid(1.0, 10)
+        with pytest.raises(ValueError, match="reps"):
+            same_law_baseline(game, _ramp_init(game, tg, 0.0, n=16), ControlField.constant(tg, 0.0), reps=bad)
+
+    def test_explicit_particle_count_is_used(self):
+        game = sign_drift()
+        tg = TimeGrid(1.0, 10)
+        flow = _ramp_init(game, tg, 0.0, n=16)
+        ctrl = ControlField.constant(tg, 0.0)
+        assert consistency_residual(game, flow, ctrl, n_particles=np.int64(5)) != consistency_residual(game, flow, ctrl)
+        assert same_law_baseline(game, flow, ctrl, n_particles=5, reps=1) > 0.0
 
 
 class TestMonotonicity:

@@ -182,6 +182,40 @@ class TestTimeMajorNoise:
         assert np.array_equal(b.averaged(), inc.sum(axis=0) / np.sqrt(513))
 
 
+class TestChosenStreams:
+    # 256 particles of 256 steps x 2 dims fill one 1 MiB draw block; 300
+    # chosen streams cross that boundary
+    TG = TimeGrid(1.0, 256)
+
+    def test_rows_are_the_chosen_streams_of_a_full_bundle(self):
+        ids = np.random.default_rng(4).permutation(600)[:300]
+        assert not np.all(np.diff(ids) > 0)
+        full = sample_brownian(31, 600, self.TG, 2)
+        chosen = sample_brownian(31, len(ids), self.TG, 2, particles=ids)
+        assert np.array_equal(chosen.increments, full.increments[ids])
+        assert np.swapaxes(chosen.increments, 0, 1).flags.c_contiguous
+        as_list = sample_brownian(31, 3, self.TG, 2, particles=[int(k) for k in ids[:3]])
+        assert np.array_equal(as_list.increments, full.increments[ids[:3]])
+
+    def test_default_is_every_stream_in_order(self):
+        tg = TimeGrid(1.0, 5)
+        assert np.array_equal(sample_brownian(8, 6, tg, particles=range(6)).increments,
+                              sample_brownian(8, 6, tg).increments)
+
+    def test_chosen_streams_fill_out(self):
+        tg = TimeGrid(1.0, 6)
+        buf = np.empty((6, 2, 1))
+        b = sample_brownian(9, 2, tg, out=buf, particles=[5, 2])
+        assert np.shares_memory(b.increments, buf)
+        assert np.array_equal(b.increments, sample_brownian(9, 6, tg).increments[[5, 2]])
+
+    @pytest.mark.parametrize("particles", [[0, 1], [0, -1, 2], [0.0, 1.0, 2.0], np.zeros((3, 1), dtype=int),
+                                           [True, False, True], [0, 2**64, 1]])
+    def test_rejects_bad_particles(self, particles):
+        with pytest.raises(ValueError, match="particles"):
+            sample_brownian(1, 3, TimeGrid(1.0, 4), particles=particles)
+
+
 class TestInitialCloud:
     def test_deterministic_and_prefix_stable(self):
         sampler = lambda gen, n: gen.normal(size=(n, 1))
