@@ -43,8 +43,10 @@ def candidate_flow(game: GameSpec, tgrid: TimeGrid, mean_path, n_particles: int,
 
 def _positive_count(value, name: str) -> int:
     """value as a positive int; bools, non-integers and values below 1 are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive int, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
     return int(value)
 
 
@@ -93,13 +95,19 @@ def picard_mfe(
         n_particles = init_flow.n_particles
     if init_flow.n_particles != n_particles:
         raise ValueError("init flow particle count must match n_particles")
+    n_new = int(round(damping * n_particles))
+    if n_new == 0:
+        # the mixed flow would only reshuffle the old paths, and a residual
+        # of 0.0 would report convergence without any iteration
+        raise ValueError(
+            f"damping {damping} keeps no fresh particle of n_particles={n_particles}: round(damping * n_particles) is 0"
+        )
     if sgrid is None:
         sgrid = stable_spatial_grid(game, tgrid)
     if agrid is None:
         agrid = default_action_grid(game)
     tie_break = "mean_drift" if indifference > 0.0 else "lowest"
 
-    n_new = int(round(damping * n_particles))
     flow = init_flow
     control = None
     residuals: list = []
@@ -116,10 +124,9 @@ def picard_mfe(
         # noise stream, same initial state, and frozen-flow particles never
         # interact, so only the kept ones are simulated
         samples = np.empty(flow.samples.shape)
-        if n_new:
-            bundle = sample_brownian(derive_seed(seed, "picard", k), n_new, tgrid, game.dim, particles=take_new)
-            x0 = initial_cloud(derive_seed(seed, "picard-init", k), n_particles, game.initial.sampler())[take_new]
-            samples[:, :n_new] = np.swapaxes(simulate_frozen_flow(game, control, flow, bundle, x0).states, 0, 1)
+        bundle = sample_brownian(derive_seed(seed, "picard", k), n_new, tgrid, game.dim, particles=take_new)
+        x0 = initial_cloud(derive_seed(seed, "picard-init", k), n_particles, game.initial.sampler())[take_new]
+        samples[:, :n_new] = np.swapaxes(simulate_frozen_flow(game, control, flow, bundle, x0).states, 0, 1)
         np.take(flow.samples, take_old, axis=1, out=samples[:, n_new:], mode="clip")
         mixed = EmpiricalFlow(tgrid, samples)
 

@@ -29,6 +29,7 @@ from .games import GameSpec, MeasureStats
 from .grids import ActionGrid, SpatialGrid
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import FLOW_FUNCTIONALS, EmpiricalFlow
+from .mfe import _positive_count
 from .sim import (
     ParticleEnsemble,
     _feedback_groups,
@@ -198,10 +199,7 @@ def exploitability_estimate(
     whatever reps is, and the rows are those of running the repetitions one
     at a time.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    reps, n = _positive_count(reps, "reps"), _positive_count(n, "n")
     tgrid = mfe_flow.grid
     for name, control in (("mfe_control", mfe_control), ("br_control", br_control)):
         if control is not None and control.tgrid != tgrid:

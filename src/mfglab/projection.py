@@ -19,6 +19,41 @@ from .rng import BrownianBundle
 from .sim import ParticleEnsemble, integrate_paths
 
 
+def _bin_index(edges: np.ndarray, x) -> np.ndarray:
+    """Index of the bin holding each key: the largest k with edges[k] <= x,
+    clipped to [0, n_bins - 1], NaN counting as above every edge.
+
+    The even-width map from edges[0] gives a candidate bin, clipped while
+    still a float so that infinities and NaN land where they belong; each
+    key then moves one bin at a time against the actual edges until none
+    moves. For evenly spaced edges the candidate is off by at most one, so
+    one correction pass and one check settle it, with no binary search.
+    """
+    n_bins = edges.size - 1
+    x = np.asarray(x, dtype=float)
+    # one float buffer serves every step: a fresh temporary of this size
+    # costs more in page faults than the arithmetic written into it
+    with np.errstate(all="ignore"):  # huge keys overflow to +-inf, which the clip handles
+        buf = np.subtract(x, edges[0], out=np.empty(x.shape))
+        buf /= (edges[-1] - edges[0]) / n_bins
+    np.floor(buf, out=buf)
+    np.fmin(buf, n_bins - 1, out=buf)
+    np.fmax(buf, 0, out=buf)
+    idx = buf.astype(np.intp)
+    # a NaN bound compares false, so bin 0 has no lower edge and the last
+    # bin no upper one
+    lower = np.concatenate(([np.nan], edges[1:-1]))
+    upper = np.concatenate((edges[1:-1], [np.nan]))
+    while True:
+        # every index is in range, and mode="clip" spares take a buffered out
+        down = x < np.take(lower, idx, out=buf, mode="clip")
+        up = x >= np.take(upper, idx, out=buf, mode="clip")
+        if not (down.any() or up.any()):
+            return idx
+        idx -= down
+        idx += up
+
+
 @dataclass
 class DriftTable:
     """Piecewise-constant drift estimate on (time step) x (state bin)."""
@@ -36,8 +71,13 @@ class DriftTable:
         return self.edges.size - 1
 
     def bin_of(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.edges, np.asarray(x, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.n_bins - 1)
+        """Bin index of each state in x.
+
+        Bins are left-closed, [edges[k], edges[k+1]); states below edges[1]
+        fall in bin 0, states at or above edges[-2] in the last bin, and NaN
+        in the last bin.
+        """
+        return _bin_index(self.edges, x)
 
     def drift_at(self, j: int, x: np.ndarray) -> np.ndarray:
         """Projected drift for states x (n, d) at step j."""
@@ -86,7 +126,7 @@ def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30, d
     slice_means = drifts.mean(axis=0)  # (M, 1)
 
     for j in range(M):
-        idx = np.clip(np.searchsorted(edges, x[:, j], side="right") - 1, 0, n_bins - 1)
+        idx = _bin_index(edges, x[:, j])
         cnt = np.bincount(idx, minlength=n_bins)
         tot = np.bincount(idx, weights=drifts[:, j, 0], minlength=n_bins)
         counts[j] = cnt

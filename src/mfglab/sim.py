@@ -190,8 +190,8 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     repetitions. Each step reads noise[..., :, j, :], which is one contiguous
     slab when noise is a view of time-major (..., M, n, d) memory, as
     sample_brownian and chunk_inputs draw it. drift(j, x, out) writes the
-    drift at step j for states x into out, shaped like x; every step is
-    checked for non-finite drifts.
+    drift at step j for states x into out, shaped like x; the initial states
+    and every step's drifts are checked for non-finite values.
 
     record="full" returns (states (..., n, M+1, d), drifts (..., n, M, d)),
     views of time-major (..., M+1, n, d) and (..., M, n, d) memory;
@@ -204,6 +204,7 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     if noise.shape[-2] != M or noise.shape[:-2] != init.shape[:-1] or noise.shape[-1] != init.shape[-1]:
         raise ValueError(f"noise {noise.shape} does not fit initial states {init.shape} on {M} steps")
     dt, times = grid.dt, grid.times
+    _check_finite(init, "initial state", times[0], init, first_rep)
     dw = np.swapaxes(noise, -3, -2)  # (..., M, n, d)
     if record == "full":
         states = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-2:])

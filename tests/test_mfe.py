@@ -150,7 +150,7 @@ class TestPicardMix:
         res = self._compare(game, _ramp_init(game, self.TG, 0.5, n=400), tol=0.08, max_iter=10)
         assert res.converged and res.iterations == 3
 
-    @pytest.mark.parametrize("damping,n", [(0.3, 301), (0.5, 301), (1.0, 64), (0.1, 4)])
+    @pytest.mark.parametrize("damping,n", [(0.3, 301), (0.5, 301), (1.0, 64)])
     def test_simulates_only_the_kept_particles(self, damping, n, monkeypatch):
         drawn = []
 
@@ -162,16 +162,21 @@ class TestPicardMix:
         init = _ramp_init(game, self.TG, 0.5, n=n)
         monkeypatch.setattr(mfe, "sample_brownian", counting)
         res = picard_mfe(game, init, damping=damping, tol=0.0, max_iter=3, seed=5)
-        n_new = int(round(damping * n))
-        assert drawn == ([n_new] * res.iterations if n_new else [])
+        assert drawn == [int(round(damping * n))] * res.iterations
 
-    def test_no_fresh_particle_kept(self):
-        # round(0.1 * 4) == 0: no simulation, the flow is reshuffled old paths
+    def test_no_fresh_particle_kept(self, monkeypatch):
+        # round(0.1 * 4) == 0: the mix would only reshuffle the old paths and
+        # report residual 0.0, so the damping is refused before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the damping must be checked before the first solve")
+
+        monkeypatch.setattr(mfe, "solve_hjb", no_solve)
         game = _spread(monotone_lq())
         init = _ramp_init(game, self.TG, 0.5, n=4)
-        res = self._compare(game, init, damping=0.1)
-        assert res.residuals == [0.0] and res.converged
-        assert np.array_equal(np.sort(res.flow.samples, axis=1), np.sort(init.samples, axis=1))
+        with pytest.raises(ValueError, match=r"damping 0\.1 keeps no fresh particle of n_particles=4"):
+            picard_mfe(game, init, damping=0.1)
+        with pytest.raises(ValueError, match=r"damping 0\.12 keeps no fresh particle of n_particles=4"):
+            picard_mfe(game, init, damping=0.12, n_particles=4)
 
     def test_full_damping_keeps_nothing_old(self):
         game = _spread(monotone_lq())

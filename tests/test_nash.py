@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,25 @@ class TestBatchedExploitability:
         with pytest.raises(FloatingPointError, match=rf"drift .* repetition {bad}, particle 0, state"):
             exploitability_estimate(game, flow, zero, n=8, reps=6, seed=4, br_control=zero)
 
+    def test_non_finite_initial_state_names_the_repetition(self, monkeypatch):
+        game = monotone_lq()
+        tg = TimeGrid(1.0, 30)
+        flow = candidate_flow(game, tg, np.zeros(tg.n_steps + 1), 512, 3)
+        zero = ControlField.constant(tg, 0.0)
+        bad_seed = derive_seed(2, "xp-init", 8, 4)
+
+        def nan_cloud(seed, n, sampler):
+            cloud = initial_cloud(seed, n, sampler)
+            if seed == bad_seed:
+                cloud[6] = np.nan
+            return cloud
+
+        monkeypatch.setattr(sim, "initial_cloud", nan_cloud)
+        # three repetitions per chunk: repetition 4 is the second chunk's second
+        monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 3 * 8 * tg.n_steps * 8)
+        with pytest.raises(FloatingPointError, match=r"initial state .* t=0, repetition 4, particle 6, state \[nan\]"):
+            exploitability_estimate(game, flow, zero, n=8, reps=6, seed=2, br_control=zero)
+
     def test_non_finite_terminal_reward_names_the_repetition(self, monkeypatch):
         base = monotone_lq()
         tg = TimeGrid(1.0, 30)
@@ -391,6 +411,21 @@ class TestExploitabilityArguments:
         game, flow, ctrl = setup
         with pytest.raises(ValueError, match=rf"n must be at least 1, got {n}"):
             exploitability_estimate(game, flow, ctrl, n=n, reps=3)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("name", ["reps", "n"])
+    def test_counts_must_be_ints(self, setup, name, value):
+        game, flow, ctrl = setup
+        kw = {"n": 8, "reps": 3, name: value}
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be an int, got {value!r}") + "$"):
+            exploitability_estimate(game, flow, ctrl, **kw)
+
+    def test_numpy_counts_accepted(self, setup):
+        game, flow, ctrl = setup
+        plain = exploitability_estimate(game, flow, ctrl, n=8, reps=3, br_control=ctrl)
+        numpy = exploitability_estimate(game, flow, ctrl, n=np.int32(8), reps=np.int64(3), br_control=ctrl)
+        assert type(numpy.n) is int and type(numpy.reps) is int
+        assert numpy.rows == plain.rows
 
     def test_equilibrium_control_on_another_grid(self, setup):
         game, flow, _ = setup

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mfglab.grids import TimeGrid
+from mfglab.measures import wasserstein1_1d
 from mfglab.projection import (
     DriftTable,
+    _bin_index,
     mimic_and_compare,
     path_autocovariance,
     project_drift,
@@ -31,7 +33,101 @@ def _posterior_mean_oracle(x, t):
     return (up - dn) / (up + dn)
 
 
+def _searchsorted_bins(edges, x):
+    """The bin rule as np.searchsorted states it, the oracle for _bin_index."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
+
+
+def _project_drift_oracle(ensemble, edges, min_count=30):
+    """project_drift's per-step loop as it stood, binning with np.searchsorted."""
+    n_bins, M = edges.size - 1, ensemble.grid.n_steps
+    x, drifts = ensemble.states[:, :M, 0], ensemble.drifts
+    values = np.zeros((M, n_bins, 1))
+    counts = np.zeros((M, n_bins), dtype=np.intp)
+    fallback = np.zeros((M, n_bins), dtype=bool)
+    slice_means = drifts.mean(axis=0)
+    for j in range(M):
+        idx = _searchsorted_bins(edges, x[:, j])
+        cnt = np.bincount(idx, minlength=n_bins)
+        tot = np.bincount(idx, weights=drifts[:, j, 0], minlength=n_bins)
+        counts[j] = cnt
+        sparse = cnt < min_count
+        fallback[j] = sparse
+        with np.errstate(invalid="ignore"):
+            avg = np.where(cnt > 0, tot / np.maximum(cnt, 1), 0.0)
+        values[j, :, 0] = np.where(sparse, slice_means[j, 0], avg)
+    return values, counts, fallback, slice_means
+
+
+def _edge_keys(edges):
+    """Every edge, one ulp either side of each, the infinities, NaN, and the
+    extreme and signed-zero finite values."""
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    special = [np.inf, -np.inf, np.nan, big, -big, tiny, -tiny, 0.0, -0.0]
+    return np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), special])
+
+
+def _edge_sets(n_bins, gen):
+    """Evenly spaced edges over ranges of several scales and offsets, and
+    uneven edges whose widths span three decades, so an even-width guess can
+    be many bins off."""
+    yield np.linspace(-3.7, 5.2, n_bins + 1)
+    yield np.linspace(0.1, 0.3, n_bins + 1)
+    yield np.linspace(1e6, 1e6 + 1.0, n_bins + 1)
+    yield np.linspace(-2e-9, -1e-9, n_bins + 1)
+    yield np.linspace(*np.sort(gen.normal(size=2) * 10.0), n_bins + 1)
+    yield np.cumsum(np.concatenate([[-7.3], 10.0 ** gen.uniform(-3.0, 0.0, n_bins)]))
+    yield np.geomspace(0.5, 5e3, n_bins + 1)
+
+
+class TestBinIndex:
+    def test_matches_searchsorted_at_and_around_every_edge(self):
+        for n_bins in range(1, 61):
+            gen = np.random.default_rng(derive_seed(n_bins, "edges"))
+            for edges in _edge_sets(n_bins, gen):
+                assert np.all(np.diff(edges) > 0)
+                span = edges[-1] - edges[0]
+                keys = np.concatenate([_edge_keys(edges), gen.uniform(edges[0] - span, edges[-1] + span, 300)])
+                got = _bin_index(edges, keys)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, _searchsorted_bins(edges, keys)), (n_bins, edges)
+
+    def test_the_stated_rule(self):
+        edges = np.array([-1.0, 0.0, 0.5, 2.0])
+        keys = np.array([-5.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.999, 2.0, 7.0, -np.inf, np.inf, np.nan])
+        assert _bin_index(edges, keys).tolist() == [0, 0, 1, 1, 1, 2, 2, 2, 2, 0, 2, 2]
+
+    def test_keeps_the_key_shape(self):
+        edges = np.linspace(0.0, 1.0, 11)
+        keys = np.random.default_rng(derive_seed(0, "shape")).uniform(-0.2, 1.2, size=(7, 13))
+        keys[3, 4] = np.nan
+        assert np.array_equal(_bin_index(edges, keys), _searchsorted_bins(edges, keys))
+        assert _bin_index(edges, 0.35) == 3
+
+
 class TestProjectDrift:
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_table_matches_the_searchsorted_loop(self, uneven):
+        tg = TimeGrid(1.0, 40)
+        ens = _coin_paths(6000, tg, seed=13)
+        bins = 40
+        if uneven:
+            # edges at sampled states, unevenly spaced, so some keys sit
+            # exactly on an edge; the outer edges are the state range
+            x = np.sort(ens.states[:, : tg.n_steps, 0], axis=None)
+            picks = np.unique((np.linspace(0.0, 1.0, 30) ** 2 * (x.size - 1)).astype(int))
+            bins = np.unique(np.concatenate([[x[0]], x[picks], [x[-1]]]))
+        table = project_drift(ens, bins=bins)
+        if not uneven:
+            assert np.array_equal(table.edges, np.linspace(ens.states[:, :-1, 0].min(), ens.states[:, :-1, 0].max(), 41))
+        values, counts, fallback, slice_means = _project_drift_oracle(ens, table.edges)
+        assert np.array_equal(table.values, values)
+        assert np.array_equal(table.counts, counts)
+        assert np.array_equal(table.fallback, fallback)
+        assert np.array_equal(table.slice_means, slice_means)
+        keys = np.concatenate([ens.states[:, 7, 0], _edge_keys(table.edges)])
+        assert np.array_equal(table.bin_of(keys), _searchsorted_bins(table.edges, keys))
+
     def test_slice_means_match_a_particle_major_sum(self):
         # the drifts are time-major, so the slice means sum over a contiguous
         # axis, pairwise; a particle-major sum may differ in the last bits only
@@ -157,6 +253,21 @@ class TestMimic:
         assert dist.shape == (tg.n_steps + 1,)
         assert dist[0] == 0.0
         assert dist.max() <= 0.05
+
+    def test_drift_at_matches_the_searchsorted_lookup(self):
+        tg = TimeGrid(1.0, 60)
+        n = 8000
+        ens = _coin_paths(n, tg, seed=14)
+        table = project_drift(ens, bins=40)
+        fresh = sample_brownian(derive_seed(14, "mimic-w"), n, tg, 1)
+        init = np.zeros((n, 1))
+        mim = integrate_paths(lambda j, y: table.drift_at(j, y), fresh, init)
+        oracle = integrate_paths(lambda j, y: table.values[j, _searchsorted_bins(table.edges, y[:, 0]), :], fresh, init)
+        assert np.array_equal(mim.states, oracle.states)
+        assert np.array_equal(mim.drifts, oracle.drifts)
+        dist = mimic_and_compare(table, init, fresh)
+        want = [wasserstein1_1d(oracle.states[:, j, 0], ens.states[:, j, 0]) for j in range(tg.n_steps + 1)]
+        assert np.array_equal(dist, want)
 
     def test_zero_drift_reproduces_brownian_cloud(self):
         tg = TimeGrid(1.0, 50)

@@ -360,6 +360,37 @@ class TestBatchedEuler:
             euler(drift, noise, x0, tg, record="mean")
 
 
+class TestNonFiniteInitialStates:
+    """A non-finite initial state is refused before the first step, naming
+    the repetition, the particle and the state."""
+
+    def test_frozen_flow(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 64, 50)
+        x0[5] = np.nan
+        flow = DeterministicFlow(tg, np.zeros((51, 1)))
+        with pytest.raises(FloatingPointError, match=r"initial state .* t=0, particle 5, state \[nan\]"):
+            simulate_frozen_flow(game, ControlField.constant(tg, 0.0), flow, bundle, x0)
+
+    def test_integrate_paths(self):
+        tg, bundle, x0 = _setup(sign_drift(), 64, 50)
+        x0[5] = -np.inf
+        with pytest.raises(FloatingPointError, match=r"initial state .* t=0, particle 5, state \[-inf\]"):
+            integrate_paths(np.zeros((64, 50, 1)), bundle, x0)
+
+    @pytest.mark.parametrize("record", ["full", "mean", "last"])
+    def test_batched_names_the_repetition(self, record):
+        tg = TimeGrid(1.0, 10)
+        x0 = np.zeros((3, 5, 2))
+        x0[2, 4, 1] = np.nan
+
+        def fill(j, x, out):
+            raise AssertionError("initial states must be checked before the first drift")
+
+        with pytest.raises(FloatingPointError, match=r"t=0, repetition 9, particle 4, state \[0\.0, nan\]"):
+            euler(fill, np.zeros((3, 5, 10, 2)), x0, tg, record=record, first_rep=7)
+
+
 def _oracle_euler(drift, noise, init, grid, record="full"):
     """euler() as it stood with particle-major memory: states (..., n, M+1, d)."""
     M = grid.n_steps
