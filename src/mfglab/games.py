@@ -97,6 +97,15 @@ class GameSpec:
     terminal(x, m) -> (...) must broadcast over leading axes of x (..., dim)
     and a (..., action_dim); m is a MeasureStats. Bounds are sups over the
     declared state box, the action box, and measures supported there.
+
+    coefficients_batch_time=True promises more: drift and running also
+    broadcast over a leading time axis shared by t, x, a and m, with t shaped
+    (M, 1, 1), x (1, 1, P, dim), a (1, n_atoms, 1, action_dim) and m stacked
+    over time (mean and var shaped (M, 1, 1, dim)), and give at each index the
+    bits of the call at that one time. The dynamic-programming table then
+    takes one call per coefficient for the whole horizon instead of one per
+    step and atom. dataclasses.replace keeps the declaration, so a game built
+    by swapping in a drift or running that does not keep it must clear it.
     """
 
     name: str
@@ -119,6 +128,7 @@ class GameSpec:
     # (f1(t, x, m), f2(t, x, a)) when the running reward separates into a
     # measure part and an action part; required by the monotonicity checker
     running_split: tuple | None = None
+    coefficients_batch_time: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -181,6 +191,7 @@ def sign_drift(horizon: float = 1.0) -> GameSpec:
         state_hi=hi,
         drift_affine_in_action=True,
         running_split=(lambda t, x, m: np.zeros(x.shape[:-1]), lambda t, x, a: np.zeros(np.broadcast_shapes(x.shape[:-1], a.shape[:-1]))),
+        coefficients_batch_time=True,
         params={"horizon": horizon},
     )
 
@@ -221,6 +232,7 @@ def monotone_lq(horizon: float = 1.0, action_cost: float = 0.5) -> GameSpec:
             lambda t, x, m: np.zeros(x.shape[:-1]),
             lambda t, x, a: np.broadcast_to(-action_cost * a[..., 0] ** 2, np.broadcast_shapes(x.shape[:-1], a.shape[:-1])).copy(),
         ),
+        coefficients_batch_time=True,
         params={"horizon": horizon, "action_cost": action_cost},
     )
 
@@ -249,7 +261,7 @@ def mean_drift(profile: str = "linear", scale: float = 1.0, x0: float = 1.0, hor
     lo, hi = _default_state_box(initial, max(bound, 1.0), horizon)
 
     def drift(t, x, m, a):
-        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1]) + (1,)
+        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1], m.mean.shape[:-1]) + (1,)
         return np.broadcast_to(B(m.mean[..., 0], scale)[..., None], shape).copy()
 
     return GameSpec(
@@ -268,6 +280,7 @@ def mean_drift(profile: str = "linear", scale: float = 1.0, x0: float = 1.0, hor
         terminal_bound=0.0,
         state_lo=lo,
         state_hi=hi,
+        coefficients_batch_time=True,
         params={"profile": profile, "scale": scale, "x0": x0, "horizon": horizon},
     )
 
@@ -301,6 +314,7 @@ def driftless(horizon: float = 1.0, x0: float = 0.0) -> GameSpec:
         terminal_bound=0.0,
         state_lo=lo,
         state_hi=hi,
+        coefficients_batch_time=True,
         params={"horizon": horizon, "x0": x0},
     )
 
@@ -337,6 +351,7 @@ def tracking_lq(horizon: float = 1.0, target: float = 1.0, action_cost: float = 
         state_lo=lo,
         state_hi=hi,
         drift_affine_in_action=True,
+        coefficients_batch_time=True,
         params={"horizon": horizon, "target": target, "action_cost": action_cost},
     )
 
@@ -372,6 +387,7 @@ def action_square(horizon: float = 1.0, reward_sign: float = 1.0) -> GameSpec:
         state_lo=lo,
         state_hi=hi,
         drift_affine_in_action=True,
+        coefficients_batch_time=True,
         params={"horizon": horizon, "reward_sign": reward_sign},
     )
 

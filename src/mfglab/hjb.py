@@ -20,7 +20,7 @@ from .controls import ControlField
 from .games import GameSpec
 from .grids import ActionGrid, SpatialGrid, TimeGrid
 from .rng import BrownianBundle
-from .sim import atom_values, path_payoffs, simulate_frozen_flow
+from .sim import coefficient_table, path_payoffs, simulate_frozen_flow
 
 
 class CFLError(RuntimeError):
@@ -122,38 +122,47 @@ def solve_hjb(
     spacing = sgrid.spacing
     atoms = agrid.atoms
     nA = atoms.shape[0]
-    # V padded by one copied edge node on every side (Neumann ghosts); the
-    # neighbours along an axis are slices of it, interior on the other axes
+    # V lives inside a buffer padded by one copied edge node on every side
+    # (Neumann ghosts); the neighbours along an axis are slices of it,
+    # interior on the other axes, and only the ghosts change between steps
     inner = [slice(1, -1)] * sgrid.dim
     up = [tuple(inner[:ax] + [slice(2, None)] + inner[ax + 1 :]) for ax in range(sgrid.dim)]
     down = [tuple(inner[:ax] + [slice(None, -2)] + inner[ax + 1 :]) for ax in range(sgrid.dim)]
+    ghost_copies = [
+        (tuple([slice(None)] * ax + [ghost]), tuple([slice(None)] * ax + [edge]))
+        for ax in range(sgrid.dim)
+        for ghost, edge in ((0, 1), (-1, -2))
+    ]
+    Vp = np.empty(tuple(n + 2 for n in space))
+    V = Vp[tuple(inner)]
 
     stats_T = stats_path[M]
-    V = np.asarray(game.terminal(nodes, stats_T), dtype=float).reshape(space)
+    V[...] = np.asarray(game.terminal(nodes, stats_T), dtype=float).reshape(space)
     if not np.isfinite(V).all():
         raise FloatingPointError("terminal reward evaluated to a non-finite value on the grid")
 
     values = np.empty((M + 1,) + space)
     values[M] = V
     control_values = np.empty((M,) + space + (atoms.shape[1],))
+    B, F = coefficient_table(game, times[:M], stats_path, nodes, atoms)
+    B = B.reshape((M, nA) + space + (sgrid.dim,))
+    F = F.reshape((M, nA) + space)
 
     for j in range(M - 1, -1, -1):
         t = times[j]
-        stats = stats_path[j]
-        B = atom_values(game.drift, t, nodes, stats, atoms).reshape((nA,) + space + (sgrid.dim,))
-        F = atom_values(game.running, t, nodes, stats, atoms).reshape((nA,) + space)
+        for ghost, edge in ghost_copies:
+            Vp[ghost] = Vp[edge]
 
         # centered Laplacian (action-independent) and upwinded convection,
         # the latter for all atoms at once
-        Vp = np.pad(V, 1, mode="edge")
         lap = np.zeros(space)
         conv = np.zeros((nA,) + space)
         for ax in range(sgrid.dim):
             V_up, V_down = Vp[up[ax]], Vp[down[ax]]
             lap += (V_up - 2.0 * V + V_down) / spacing[ax] ** 2
-            b = B[..., ax]
+            b = B[j, ..., ax]
             conv += np.maximum(b, 0.0) * ((V_up - V) / spacing[ax]) - np.maximum(-b, 0.0) * ((V - V_down) / spacing[ax])
-        H = conv + F
+        H = conv + F[j]
 
         if not np.isfinite(H).all():
             raise FloatingPointError(f"coefficients produced a non-finite Hamiltonian at t={t:.6g}")
@@ -169,15 +178,19 @@ def solve_hjb(
         else:
             tied = H >= Hmax - tie_tol
             weights = tied / tied.sum(axis=0)
-            target = np.einsum("i...,i...k->...k", weights, B)
-            mismatch = np.abs(B - target).max(axis=-1)
+            # einsum chooses its loops from its operands' strides; the table
+            # slice (possibly a broadcast view) gets the per-step layout, and
+            # with it the per-step summation order
+            Bj = np.ascontiguousarray(B[j])
+            target = np.einsum("i...,i...k->...k", weights, Bj)
+            mismatch = np.abs(Bj - target).max(axis=-1)
             mismatch = np.where(tied, mismatch, np.inf)
             best = mismatch.min(axis=0)
             candidate = tied & (mismatch <= best + 1e-12)
-            sel = np.where(candidate, F, -np.inf).argmax(axis=0)
+            sel = np.where(candidate, F[j], -np.inf).argmax(axis=0)
 
         control_values[j] = atoms[sel]
-        V = V + dt * (0.5 * lap + Hmax)
+        V += dt * (0.5 * lap + Hmax)
         if not np.isfinite(V).all():
             raise FloatingPointError(f"value update produced a non-finite value at t={t:.6g}")
         values[j] = V

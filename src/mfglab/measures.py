@@ -9,6 +9,8 @@ equal-width binning. Distances between flows take the worst time slice.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .games import MeasureStats
@@ -114,22 +116,35 @@ def _as_samples_1d(a) -> np.ndarray:
     return a
 
 
-def _merged_quantiles(a: np.ndarray, b: np.ndarray):
-    """Both quantile functions on the union of their breakpoints, with weights.
+@lru_cache(maxsize=8)
+def _quantile_ladder(na: int, nb: int):
+    """Merged breakpoint ladder of two sample sizes: indices into each sorted
+    sample and segment widths, shared read-only by every call with these sizes.
 
     Empirical quantile functions are piecewise constant with jumps at i/n, so
     on each segment of the merged ladder both are constant and the segment
-    midpoint evaluates them exactly. Integrating |qa - qb| against the
-    segment widths is then the exact inverse-CDF integral, which is what
-    makes the distance a true metric across unequal sample sizes.
+    midpoint evaluates them exactly.
     """
-    sa, sb = np.sort(a), np.sort(b)
-    cuts = np.union1d(np.arange(1, sa.size) / sa.size, np.arange(1, sb.size) / sb.size)
+    cuts = np.union1d(np.arange(1, na) / na, np.arange(1, nb) / nb)
     edges = np.concatenate([[0.0], cuts, [1.0]])
     mid = 0.5 * (edges[:-1] + edges[1:])
-    ia = np.minimum((mid * sa.size).astype(np.intp), sa.size - 1)
-    ib = np.minimum((mid * sb.size).astype(np.intp), sb.size - 1)
-    return sa[ia], sb[ib], np.diff(edges)
+    ia = np.minimum((mid * na).astype(np.intp), na - 1)
+    ib = np.minimum((mid * nb).astype(np.intp), nb - 1)
+    ladder = (ia, ib, np.diff(edges))
+    for part in ladder:
+        part.flags.writeable = False
+    return ladder
+
+
+def _merged_quantiles(a: np.ndarray, b: np.ndarray):
+    """Both quantile functions on the union of their breakpoints, with weights.
+
+    Integrating |qa - qb| against the segment widths of the merged ladder is
+    the exact inverse-CDF integral, which is what makes the distance a true
+    metric across unequal sample sizes.
+    """
+    ia, ib, w = _quantile_ladder(a.size, b.size)
+    return np.sort(a)[ia], np.sort(b)[ib], w
 
 
 def wasserstein1_1d(a, b) -> float:
@@ -214,6 +229,40 @@ _METRICS = {
     "tv": tv_binned,
 }
 
+# metrics whose equal-size 1-d flow distance reads only sorted slices
+SORTED_METRICS = ("w1", "w1_trunc")
+
+
+def check_metric(metric: str) -> None:
+    """Raise the KeyError flow_distance raises for an unknown metric name."""
+    if metric != "sliced_w1" and metric not in _METRICS:
+        raise KeyError(f"unknown metric {metric!r}; choose from {sorted(_METRICS) + ['sliced_w1']}")
+
+
+def sorted_slices(flow: EmpiricalFlow) -> np.ndarray:
+    """Every time slice of a 1-d flow, sorted: (M+1, n)."""
+    if flow.dim != 1:
+        raise ValueError(f"sorted slices need a one-dimensional flow, got dimension {flow.dim}")
+    return np.sort(flow.samples[:, :, 0], axis=1)
+
+
+def sorted_distance(consumed: np.ndarray, other: np.ndarray, metric: str = "w1") -> float:
+    """flow_distance of two equal-size 1-d flows from their sorted slices.
+
+    The reduction runs in place in consumed, which holds garbage afterwards,
+    so no third (M+1, n) stack is ever live; the result is symmetric in the
+    two stacks, bit for bit.
+    """
+    if metric not in SORTED_METRICS:
+        raise KeyError(f"sorted slices give the distance only for {list(SORTED_METRICS)}, not {metric!r}")
+    if consumed.shape != other.shape:
+        raise ValueError(f"sorted stacks must share a shape, got {consumed.shape} and {other.shape}")
+    per_slice = np.subtract(consumed, other, out=consumed)
+    np.abs(per_slice, out=per_slice)
+    if metric == "w1_trunc":
+        np.minimum(1.0, per_slice, out=per_slice)
+    return float(per_slice.mean(axis=1).max())
+
 
 def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow, metric: str = "w1") -> float:
     """Worst over grid times of a per-slice distance between two flows."""
@@ -221,19 +270,14 @@ def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow, metric: str = "w1") -> f
         raise TypeError("flow_distance needs sample-backed flows")
     if fa.grid != fb.grid:
         raise ValueError("flows must share a time grid")
+    check_metric(metric)
     if metric == "sliced_w1":
         per_slice = [sliced_wasserstein1(fa.cloud(j), fb.cloud(j))[0] for j in range(fa.grid.n_steps + 1)]
         return float(np.max(per_slice))
-    if metric not in _METRICS:
-        raise KeyError(f"unknown metric {metric!r}; choose from {sorted(_METRICS) + ['sliced_w1']}")
-    dist = _METRICS[metric]
-    if metric in ("w1", "w1_trunc") and fa.dim == 1:
+    if metric in SORTED_METRICS and fa.dim == fb.dim == 1 and fa.n_particles == fb.n_particles:
         # equal sizes reduce to mean |sorted difference|, one sort per flow
-        if fa.n_particles == fb.n_particles:
-            per_slice = np.abs(np.sort(fa.samples[:, :, 0], axis=1) - np.sort(fb.samples[:, :, 0], axis=1))
-            if metric == "w1_trunc":
-                per_slice = np.minimum(1.0, per_slice)
-            return float(per_slice.mean(axis=1).max())
+        return sorted_distance(sorted_slices(fa), sorted_slices(fb), metric)
+    dist = _METRICS[metric]
     per_slice = [dist(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]
     return float(np.max(per_slice))
 

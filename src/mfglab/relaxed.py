@@ -22,7 +22,7 @@ from .controls import ControlField
 from .games import GameSpec
 from .grids import ActionGrid, SpatialGrid, TimeGrid
 from .measures import sliced_wasserstein1
-from .sim import atom_values
+from .sim import coefficient_table
 
 
 def constant_relaxed(tgrid: TimeGrid, agrid: ActionGrid, probs, name: str = "") -> ControlField:
@@ -153,6 +153,12 @@ def occupation_w1(pure: ControlField, relaxed: ControlField, x=None, *, target_l
     return value
 
 
+def _running_max(step_max: np.ndarray) -> float:
+    """Python's max(0.0, m_0, m_1, ...) over per-step maxima: a step whose
+    maximum is NaN never replaces the running value, so it counts for nothing."""
+    return float(step_max[step_max > 0.0].max(initial=0.0))
+
+
 @dataclass
 class SelectionResult:
     control: ControlField
@@ -191,36 +197,33 @@ def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_appro
     P = nodes.shape[0]
     space = relaxed.sgrid.shape
     M = tgrid.n_steps
-    times = tgrid.times
 
-    selected = np.empty((M, P, atoms.shape[1]))
-    worst_mismatch = 0.0
-    violations = 0
-    worst_loss = 0.0
-    for j in range(M):
-        stats = stats_path[j]
-        b = atom_values(game.drift, times[j], nodes, stats, atoms).reshape(nA, P, game.dim)
-        f = atom_values(game.running, times[j], nodes, stats, atoms).reshape(nA, P)
-        probs = relaxed.values[j].reshape(P, nA)
-        target_b = np.einsum("pi,ipd->pd", probs, b)
-        target_f = np.einsum("pi,ip->p", probs, f)
+    b, f = coefficient_table(game, tgrid.times[:M], stats_path, nodes, atoms)
+    # einsum chooses its loops from its operands' strides; the tables
+    # (possibly broadcast views) get the layout of stacked per-step atom
+    # values, and with it the per-step summation order
+    b, f = np.ascontiguousarray(b), np.ascontiguousarray(f)
+    probs = relaxed.values.reshape(M, P, nA)
+    target_b = np.einsum("mpi,mipd->mpd", probs, b)
+    target_f = np.einsum("mpi,mip->mp", probs, f)
 
-        mismatch = np.abs(b - target_b[None]).max(axis=-1)  # (nA, P)
-        best = mismatch.min(axis=0)
-        candidate = mismatch <= best + match_tol
-        sel = np.where(candidate, f, -np.inf).argmax(axis=0)  # first max = lowest index
+    mismatch = np.abs(b - target_b[:, None]).max(axis=-1)  # (M, nA, P)
+    best = mismatch.min(axis=1, keepdims=True)
+    candidate = mismatch <= best + match_tol
+    sel = np.where(candidate, f, -np.inf).argmax(axis=1)  # (M, P); first max = lowest index
 
-        selected[j] = atoms[sel]
-        worst_mismatch = max(worst_mismatch, float(mismatch[sel, np.arange(P)].max()))
-        loss = target_f - f[sel, np.arange(P)]
-        violations += int(np.sum(loss > 1e-9))
-        worst_loss = max(worst_loss, float(loss.max()))
+    selected = atoms[sel]
+    picked = sel[:, None]
+    loss = target_f - np.take_along_axis(f, picked, axis=1)[:, 0]
+    violations = int(np.sum(loss > 1e-9))
+    worst_mismatch = _running_max(np.take_along_axis(mismatch, picked, axis=1)[:, 0].max(axis=1))
+    worst_loss = _running_max(loss.max(axis=1))
 
     control = ControlField.pure(tgrid, relaxed.sgrid, selected.reshape((M,) + space + (atoms.shape[1],)), name=f"selected[{relaxed.name or 'relaxed'}]")
     return SelectionResult(
         control=control,
         drift_mismatch=worst_mismatch,
         reward_violations=violations,
-        worst_reward_loss=max(worst_loss, 0.0),
+        worst_reward_loss=worst_loss,
         n_nodes=M * P,
     )

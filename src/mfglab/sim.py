@@ -92,6 +92,36 @@ def atom_values(coef, t: float, x: np.ndarray, stats: MeasureStats, atoms: np.nd
     return np.array([coef(t, x, stats, a) for a in per_atom], dtype=float)
 
 
+def coefficient_table(game: GameSpec, times: np.ndarray, stats_path, nodes: np.ndarray, atoms: np.ndarray):
+    """Drift and running reward at every step, atom and node.
+
+    Returns B shaped (M, n_atoms, P, d) and F shaped (M, n_atoms, P) for the
+    M times, the first M entries of stats_path, the nodes (P, d) and the
+    atoms (n_atoms, k). A game that declares coefficients_batch_time gets one
+    call per coefficient, and the tables may then be read-only broadcast
+    views; other games get one atom_values call per step and coefficient.
+    Entries have the bits of the per-step call either way.
+    """
+    M = len(times)
+    (P, d), (nA, k) = nodes.shape, atoms.shape
+    if game.coefficients_batch_time:
+        t = np.asarray(times, dtype=float).reshape(M, 1, 1)
+        stats = MeasureStats(
+            mean=np.stack([s.mean for s in stats_path[:M]]).reshape(M, 1, 1, -1),
+            var=np.stack([s.var for s in stats_path[:M]]).reshape(M, 1, 1, -1),
+        )
+        x, a = nodes.reshape(1, 1, P, d), atoms.reshape(1, nA, 1, k)
+        B = np.broadcast_to(np.asarray(game.drift(t, x, stats, a), dtype=float), (M, nA, P, d))
+        F = np.broadcast_to(np.asarray(game.running(t, x, stats, a), dtype=float), (M, nA, P))
+        return B, F
+    B = np.empty((M, nA, P, d))
+    F = np.empty((M, nA, P))
+    for j in range(M):
+        B[j] = atom_values(game.drift, times[j], nodes, stats_path[j], atoms).reshape(nA, P, d)
+        F[j] = atom_values(game.running, times[j], nodes, stats_path[j], atoms).reshape(nA, P)
+    return B, F
+
+
 def _controlled(coef, control: ControlField, j: int, t: float, x: np.ndarray, stats: MeasureStats) -> np.ndarray:
     """coef under one control at one step; relaxed controls average it over their atoms."""
     if not control.is_relaxed:

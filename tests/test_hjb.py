@@ -1,10 +1,23 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from mfglab import hjb, sim
 from mfglab.controls import ControlField, sign_of_mean
-from mfglab.games import GameSpec, InitialLaw, make_game, sign_drift, tracking_lq
+from mfglab.games import (
+    GAME_CATALOG,
+    GameSpec,
+    InitialLaw,
+    action_square,
+    driftless,
+    make_game,
+    mean_drift,
+    monotone_lq,
+    sign_drift,
+    tracking_lq,
+)
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.hjb import (
     CFLError,
@@ -18,6 +31,7 @@ from mfglab.hjb import (
 from mfglab.measures import DeterministicFlow
 from mfglab.mfe import candidate_flow
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
+from mfglab.sim import atom_values, coefficient_table
 
 
 def _ramp_flow(tg):
@@ -360,3 +374,175 @@ class TestMatchesPerAtomLoop:
         assert np.array_equal(sol.control.values, controls)
         # the value is not constant along either axis, so both stencils matter
         assert np.ptp(values[0], axis=0).min() > 0 and np.ptp(values[0], axis=1).min() > 0
+
+
+# solve_hjb as it stood with one atom_values pair per step and np.pad ghosts;
+# the whole-horizon coefficient table and padded buffer must keep its bits
+def _per_step_solve_hjb(game, flow, sgrid, agrid, tie_tol=0.0, tie_break="lowest"):
+    tgrid = flow.grid
+    M, dt, times = tgrid.n_steps, tgrid.dt, tgrid.times
+    stats_path = flow.stats_path()
+    nodes, space, spacing = sgrid.nodes(), sgrid.shape, sgrid.spacing
+    atoms = agrid.atoms
+    nA = atoms.shape[0]
+    inner = [slice(1, -1)] * sgrid.dim
+    up = [tuple(inner[:ax] + [slice(2, None)] + inner[ax + 1 :]) for ax in range(sgrid.dim)]
+    down = [tuple(inner[:ax] + [slice(None, -2)] + inner[ax + 1 :]) for ax in range(sgrid.dim)]
+    V = np.asarray(game.terminal(nodes, stats_path[M]), dtype=float).reshape(space)
+    values = np.empty((M + 1,) + space)
+    values[M] = V
+    control_values = np.empty((M,) + space + (atoms.shape[1],))
+    for j in range(M - 1, -1, -1):
+        t, stats = times[j], stats_path[j]
+        B = atom_values(game.drift, t, nodes, stats, atoms).reshape((nA,) + space + (sgrid.dim,))
+        F = atom_values(game.running, t, nodes, stats, atoms).reshape((nA,) + space)
+        Vp = np.pad(V, 1, mode="edge")
+        lap = np.zeros(space)
+        conv = np.zeros((nA,) + space)
+        for ax in range(sgrid.dim):
+            V_up, V_down = Vp[up[ax]], Vp[down[ax]]
+            lap += (V_up - 2.0 * V + V_down) / spacing[ax] ** 2
+            b = B[..., ax]
+            conv += np.maximum(b, 0.0) * ((V_up - V) / spacing[ax]) - np.maximum(-b, 0.0) * ((V - V_down) / spacing[ax])
+        H = conv + F
+        if not np.isfinite(H).all():
+            raise FloatingPointError(f"coefficients produced a non-finite Hamiltonian at t={t:.6g}")
+        Hmax = H.max(axis=0)
+        if tie_break == "lowest" or tie_tol == 0.0:
+            sel = np.argmax(H >= Hmax - tie_tol, axis=0) if tie_tol > 0.0 else H.argmax(axis=0)
+        else:
+            tied = H >= Hmax - tie_tol
+            target = np.einsum("i...,i...k->...k", tied / tied.sum(axis=0), B)
+            mismatch = np.where(tied, np.abs(B - target).max(axis=-1), np.inf)
+            candidate = tied & (mismatch <= mismatch.min(axis=0) + 1e-12)
+            sel = np.where(candidate, F, -np.inf).argmax(axis=0)
+        control_values[j] = atoms[sel]
+        V = V + dt * (0.5 * lap + Hmax)
+        values[j] = V
+    return values, control_values
+
+
+CATALOG_GAMES = {
+    "sign_drift": sign_drift,
+    "monotone_lq": monotone_lq,
+    "tracking_lq": lambda: tracking_lq(target=1.0, action_cost=0.3),
+    "action_square": lambda: action_square(reward_sign=1.0),
+    "driftless": driftless,
+    **{f"mean_drift_{p}": (lambda p=p: mean_drift(p, scale=1.5)) for p in ("linear", "sign", "sqrt", "zero")},
+}
+TIE_CASES = [("lowest", 0.0), ("lowest", 0.05), ("mean_drift", 0.0), ("mean_drift", 0.05)]
+
+
+def _catalog_flows(game, tg):
+    """A sample flow and a prescribed-mean flow whose means cross zero."""
+    return [
+        candidate_flow(game, tg, 0.6 * tg.times - 0.3, 400, derive_seed(2, game.name)),
+        DeterministicFlow(tg, np.sin(3.0 * tg.times) - 0.2),
+    ]
+
+
+class TestCoefficientTable:
+    def test_every_catalog_game_declares_batched_coefficients(self):
+        assert set(GAME_CATALOG) == {"sign_drift", "monotone_lq", "mean_drift", "driftless", "tracking_lq", "action_square"}
+        for name in GAME_CATALOG:
+            assert make_game(name).coefficients_batch_time
+        assert not _planar_game().coefficients_batch_time
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_GAMES))
+    def test_batched_table_equals_the_per_step_table(self, name):
+        game = CATALOG_GAMES[name]()
+        tg = TimeGrid(1.0, 40)
+        sg = stable_spatial_grid(game, tg, max_nodes=31)
+        ag = ActionGrid(game.action_lo, game.action_hi, 5 if game.action_lo[0] < game.action_hi[0] else 1)
+        per_step = dataclasses.replace(game, coefficients_batch_time=False)
+        for flow in _catalog_flows(game, tg):
+            args = (tg.times[:-1], flow.stats_path(), sg.nodes(), ag.atoms)
+            B, F = coefficient_table(game, *args)
+            B_ref, F_ref = coefficient_table(per_step, *args)
+            assert B.shape == B_ref.shape == (tg.n_steps, ag.n_atoms, sg.n_nodes, 1)
+            assert F.shape == F_ref.shape == (tg.n_steps, ag.n_atoms, sg.n_nodes)
+            assert np.array_equal(B, B_ref) and np.array_equal(F, F_ref)
+
+    @pytest.mark.parametrize("tie_break,tie_tol", TIE_CASES)
+    @pytest.mark.parametrize("name", sorted(CATALOG_GAMES))
+    def test_catalog_solutions_keep_the_per_step_bits(self, name, tie_break, tie_tol):
+        game = CATALOG_GAMES[name]()
+        tg = TimeGrid(1.0, 80)
+        sg = stable_spatial_grid(game, tg, max_nodes=41)
+        ag = default_action_grid(game)
+        for flow in _catalog_flows(game, tg):
+            sol = solve_hjb(game, flow, sg, ag, tie_tol=tie_tol, tie_break=tie_break)
+            values, controls = _per_step_solve_hjb(game, flow, sg, ag, tie_tol, tie_break)
+            assert np.array_equal(sol.value.values, values)
+            assert np.array_equal(sol.control.values, controls)
+
+    def test_batched_game_calls_each_coefficient_once(self):
+        calls = {"drift": 0, "running": 0}
+        base = monotone_lq()
+
+        def counted(name):
+            def coef(*args):
+                calls[name] += 1
+                return getattr(base, name)(*args)
+            return coef
+
+        game = dataclasses.replace(base, drift=counted("drift"), running=counted("running"))
+        tg = TimeGrid(1.0, 50)
+        sg = stable_spatial_grid(game, tg, max_nodes=31)
+        sol = solve_hjb(game, _ramp_flow(tg), sg, default_action_grid(game))
+        assert calls == {"drift": 1, "running": 1}
+        values, controls = _per_step_solve_hjb(base, _ramp_flow(tg), sg, default_action_grid(game))
+        assert np.array_equal(sol.value.values, values) and np.array_equal(sol.control.values, controls)
+
+    @pytest.mark.parametrize("tie_break,tie_tol", TIE_CASES)
+    def test_undeclared_game_takes_the_per_step_path(self, tie_break, tie_tol, monkeypatch):
+        # the planar game reads t through sin(x + t), which a stacked time
+        # axis would not broadcast against; it must get one atom_values pair
+        # per step and the bits of the per-step solver
+        game = _planar_game()
+        tg = TimeGrid(game.horizon, 60)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 15)
+        ag = ActionGrid(game.action_lo, game.action_hi, 3)
+        flow = DeterministicFlow(tg, np.column_stack([0.5 * tg.times, -tg.times]))
+        values, controls = _per_step_solve_hjb(game, flow, sg, ag, tie_tol, tie_break)
+        calls = []
+
+        def counting(coef, t, *args):
+            calls.append(t)
+            return atom_values(coef, t, *args)
+
+        monkeypatch.setattr(sim, "atom_values", counting)
+        sol = solve_hjb(game, flow, sg, ag, tie_tol=tie_tol, tie_break=tie_break)
+        assert calls == [t for t in tg.times[:-1] for _ in range(2)]
+        assert np.array_equal(sol.value.values, values)
+        assert np.array_equal(sol.control.values, controls)
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_non_finite_hamiltonian_names_the_first_offending_time(self, declared):
+        # running turns NaN on t in [0.3, 0.55]; the backward sweep meets
+        # the latest such step first, and both paths must name it
+        base = monotone_lq()
+        game = dataclasses.replace(
+            base,
+            running=lambda t, x, m, a: base.running(t, x, m, a) + np.where((t >= 0.3) & (t <= 0.55), np.nan, 0.0),
+            coefficients_batch_time=declared,
+        )
+        tg = TimeGrid(1.0, 40)
+        sg = stable_spatial_grid(game, tg, max_nodes=31)
+        ag = default_action_grid(game)
+        with pytest.raises(FloatingPointError) as expected:
+            _per_step_solve_hjb(game, _ramp_flow(tg), sg, ag)
+        assert "t=0.55" in str(expected.value)
+        with pytest.raises(FloatingPointError, match=re.escape(str(expected.value))):
+            solve_hjb(game, _ramp_flow(tg), sg, ag)
+
+    def test_cfl_error_comes_before_the_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the CFL check must run before any coefficient table is built")
+
+        monkeypatch.setattr(hjb, "coefficient_table", no_table)
+        game = sign_drift()
+        tg = TimeGrid(1.0, 100)
+        flow = DeterministicFlow(tg, np.zeros(tg.n_steps + 1))
+        with pytest.raises(CFLError):
+            solve_hjb(game, flow, SpatialGrid([-7.0], [7.0], 2001), default_action_grid(game))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,15 @@ from mfglab.grids import TimeGrid
 from mfglab.measures import (
     DeterministicFlow,
     EmpiricalFlow,
+    _merged_quantiles,
+    _quantile_ladder,
     auto_bin_edges,
+    check_metric,
     flow_distance,
+    sliced_directions,
     sliced_wasserstein1,
+    sorted_distance,
+    sorted_slices,
     tv_binned,
     wasserstein1_1d,
     wasserstein_trunc,
@@ -216,3 +223,121 @@ class TestFlows:
         assert np.allclose([s.mean[0] for s in stats], mean[:, 0])
         # default dispersion follows the driftless diffusion
         assert np.allclose([s.var[0] for s in stats], tg.times)
+
+
+# the distances as they stood: the merged-quantile ladder rebuilt on every
+# call, and flow_distance sorting both flows on every call
+def _old_merged_quantiles(a, b):
+    sa, sb = np.sort(a), np.sort(b)
+    cuts = np.union1d(np.arange(1, sa.size) / sa.size, np.arange(1, sb.size) / sb.size)
+    edges = np.concatenate([[0.0], cuts, [1.0]])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    ia = np.minimum((mid * sa.size).astype(np.intp), sa.size - 1)
+    ib = np.minimum((mid * sb.size).astype(np.intp), sb.size - 1)
+    return sa[ia], sb[ib], np.diff(edges)
+
+
+def _old_w1(a, b):
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    if a.size == b.size:
+        return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
+    qa, qb, w = _old_merged_quantiles(a, b)
+    return float(np.sum(w * np.abs(qa - qb)))
+
+
+def _old_w1_trunc(a, b):
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    if a.size == b.size:
+        return float(np.mean(np.minimum(1.0, np.abs(np.sort(a) - np.sort(b)))))
+    qa, qb, w = _old_merged_quantiles(a, b)
+    return float(np.sum(w * np.minimum(1.0, np.abs(qa - qb))))
+
+
+def _old_flow_distance(fa, fb, metric="w1"):
+    if metric in ("w1", "w1_trunc") and fa.dim == 1 and fa.n_particles == fb.n_particles:
+        per_slice = np.abs(np.sort(fa.samples[:, :, 0], axis=1) - np.sort(fb.samples[:, :, 0], axis=1))
+        if metric == "w1_trunc":
+            per_slice = np.minimum(1.0, per_slice)
+        return float(per_slice.mean(axis=1).max())
+    dist = {"w1": _old_w1, "w1_trunc": _old_w1_trunc, "tv": tv_binned}[metric]
+    return float(np.max([dist(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]))
+
+
+def _spread_flow(n, seed, scale=1.0, steps=30):
+    tg = TimeGrid(1.0, steps)
+    gen = np.random.default_rng(seed)
+    return EmpiricalFlow(tg, scale * gen.standard_normal((steps + 1, n, 1)) + gen.uniform(-1, 1, size=(steps + 1, 1, 1)))
+
+
+class TestQuantileLadder:
+    SIZES = [(1, 2), (2, 1), (3, 5), (7, 7), (100, 37), (64, 4096), (1024, 8192), (8192, 1024)]
+
+    @pytest.mark.parametrize("na,nb", SIZES)
+    def test_ladder_keeps_the_per_call_bits(self, na, nb):
+        gen = np.random.default_rng(na * 7919 + nb)
+        for _ in range(3):
+            a, b = gen.normal(size=na), gen.standard_cauchy(size=nb)
+            for new, old in zip(_merged_quantiles(a, b), _old_merged_quantiles(a, b)):
+                assert np.array_equal(new, old)
+            assert wasserstein1_1d(a, b) == _old_w1(a, b)
+            assert wasserstein_trunc(a, b) == _old_w1_trunc(a, b)
+
+    def test_ladder_is_built_once_and_shared_read_only(self):
+        _quantile_ladder.cache_clear()
+        gen = np.random.default_rng(3)
+        for _ in range(5):
+            wasserstein1_1d(gen.normal(size=33), gen.normal(size=50))
+        info = _quantile_ladder.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        for part in _quantile_ladder(33, 50):
+            assert not part.flags.writeable
+
+    def test_sliced_distance_keeps_the_per_call_bits(self):
+        gen = np.random.default_rng(5)
+        a, b = gen.normal(size=(40, 2)), gen.normal(0.5, 1.0, size=(1000, 2))
+        dirs = sliced_directions(2)
+        expect = float(np.mean([_old_w1(a @ u, b @ u) for u in dirs]))
+        assert sliced_wasserstein1(a, b) == (expect, 32)
+
+
+class TestSortedSlices:
+    @pytest.mark.parametrize("metric", ["w1", "w1_trunc"])
+    def test_sorted_distance_keeps_flow_distance_bits(self, metric):
+        fa, fb = _spread_flow(301, 1), _spread_flow(301, 2, scale=1.7)
+        expect = _old_flow_distance(fa, fb, metric)
+        assert flow_distance(fa, fb, metric) == expect
+        sa, sb = sorted_slices(fa), sorted_slices(fb)
+        assert np.array_equal(sa, np.sort(fa.samples[:, :, 0], axis=1))
+        keep = sa.copy()
+        # symmetric bit for bit, and only the consumed stack is overwritten
+        assert sorted_distance(sb, sa, metric) == expect
+        assert np.array_equal(sa, keep)
+        assert sorted_distance(sa, sorted_slices(fb), metric) == expect
+
+    @pytest.mark.parametrize("metric", ["w1", "w1_trunc", "tv"])
+    def test_other_paths_keep_flow_distance_bits(self, metric):
+        unequal = (_spread_flow(200, 3), _spread_flow(77, 4, scale=0.5))
+        equal = (_spread_flow(90, 5), _spread_flow(90, 6, scale=3.0))
+        for fa, fb in (unequal, equal):
+            assert flow_distance(fa, fb, metric) == _old_flow_distance(fa, fb, metric)
+
+    def test_sorted_slices_need_one_dimensional_flows(self):
+        flow = EmpiricalFlow(TimeGrid(1.0, 3), np.zeros((4, 5, 2)))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sorted_slices(flow)
+
+    def test_sorted_distance_refuses_other_metrics_and_shapes(self):
+        with pytest.raises(KeyError, match="tv"):
+            sorted_distance(np.zeros((3, 4)), np.zeros((3, 4)), "tv")
+        with pytest.raises(ValueError, match="share a shape"):
+            sorted_distance(np.zeros((3, 4)), np.zeros((3, 5)))
+
+    def test_unknown_metric_message(self):
+        f = _spread_flow(10, 7)
+        expect = "unknown metric 'bogus'; choose from ['tv', 'w1', 'w1_trunc', 'sliced_w1']"
+        with pytest.raises(KeyError, match=re.escape(expect)):
+            check_metric("bogus")
+        with pytest.raises(KeyError, match=re.escape(expect)):
+            flow_distance(f, f, "bogus")
+        for metric in ("w1", "w1_trunc", "tv", "sliced_w1"):
+            check_metric(metric)

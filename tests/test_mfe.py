@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,83 @@ class TestMonotonicity:
     def test_requires_separable_running_reward(self):
         with pytest.raises(ValueError):
             check_monotonicity(tracking_lq(), trials=10, seed=7)
+
+
+class TestPicardSortsOnce:
+    TG = TimeGrid(1.0, 40)
+
+    @pytest.mark.parametrize("metric", ["w1", "w1_trunc", "tv"])
+    def test_residuals_keep_the_flow_distance_bits(self, metric):
+        # the flow after k iterations does not depend on max_iter, so runs
+        # stopped after 0..3 iterations give every consecutive pair
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=301)
+        kw = {"damping": 0.5, "tol": 0.0, "seed": 9, "metric": metric}
+        flows = [picard_mfe(game, init, max_iter=k, **kw).flow for k in range(4)]
+        res = picard_mfe(game, init, max_iter=3, **kw)
+        assert res.residuals == [flow_distance(flows[k], flows[k - 1], metric) for k in (1, 2, 3)]
+        assert res.mean_endpoints == [float(flows[k].mean_path()[-1, 0]) for k in (1, 2, 3)]
+        assert np.array_equal(res.flow.samples, flows[3].samples)
+
+    @pytest.mark.parametrize("metric,sorts", [("w1", 4), ("w1_trunc", 4), ("tv", 0)])
+    def test_each_flow_is_sorted_once(self, metric, sorts, monkeypatch):
+        sorted_shapes = []
+        real_sort = np.sort
+
+        def counting(a, *args, **kwargs):
+            sorted_shapes.append(np.shape(a))
+            return real_sort(a, *args, **kwargs)
+
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=101)
+        monkeypatch.setattr(np, "sort", counting)
+        res = picard_mfe(game, init, damping=0.5, tol=0.0, max_iter=3, seed=9, metric=metric)
+        assert res.iterations == 3
+        # tv's histograms sort single slices inside numpy; only whole-flow
+        # stacks count here
+        assert [s for s in sorted_shapes if len(s) == 2] == [(self.TG.n_steps + 1, 101)] * sorts
+
+    def test_no_iteration_sorts_nothing(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("nothing to compare, so nothing to sort")
+
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=51)
+        monkeypatch.setattr(np, "sort", no_sort)
+        res = picard_mfe(game, init, max_iter=0)
+        assert res.residuals == [] and res.flow is init
+
+
+class TestUnknownMetricFailsEarly:
+    MESSAGE = "unknown metric 'bogus'; choose from ['tv', 'w1', 'w1_trunc', 'sliced_w1']"
+
+    @staticmethod
+    def _nothing_runs(monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the metric must be checked before any solve or draw")
+
+        for name in ("solve_hjb", "sample_brownian", "simulate_frozen_flow"):
+            monkeypatch.setattr(mfe, name, unreachable)
+
+    def test_picard(self, monkeypatch):
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, TimeGrid(1.0, 10), 0.5, n=16)
+        self._nothing_runs(monkeypatch)
+        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
+            picard_mfe(game, init, metric="bogus")
+
+    def test_consistency_and_baseline(self, monkeypatch):
+        game = sign_drift()
+        tg = TimeGrid(1.0, 10)
+        flow = _ramp_init(game, tg, 0.0, n=16)
+        ctrl = ControlField.constant(tg, 0.0)
+        self._nothing_runs(monkeypatch)
+        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
+            consistency_residual(game, flow, ctrl, metric="bogus")
+        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
+            same_law_baseline(game, flow, ctrl, metric="bogus")
+
+    def test_message_matches_flow_distance(self):
+        flow = _ramp_init(sign_drift(), TimeGrid(1.0, 10), 0.0, n=16)
+        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
+            flow_distance(flow, flow, "bogus")

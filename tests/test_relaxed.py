@@ -311,12 +311,17 @@ def _oracle_strict_selection(game, relaxed, flow, match_tol=1e-9):
 
 
 def _tilted_game():
-    """monotone_lq with state-dependent drift and a reward that is not even in the action."""
+    """monotone_lq with state-dependent drift and a reward that is not even in the action.
+
+    The drift adds t to x (..., d), which a time axis shaped (M, 1, 1) does not
+    broadcast against, so the game withdraws monotone_lq's batch declaration.
+    """
     return dataclasses.replace(
         monotone_lq(),
         name="tilted",
         drift=lambda t, x, m, a: a * (1.0 + 0.2 * np.sin(x + t)),
         running=lambda t, x, m, a: (a[..., 0] - 0.5 * a[..., 0] ** 2) * (1.0 + x[..., 0] * m.mean[..., 0]),
+        coefficients_batch_time=False,
     )
 
 
@@ -334,3 +339,38 @@ class TestSelectionMatchesPerAtomLoop:
         selected, mismatch, violations, loss = _oracle_strict_selection(game, rel, flow)
         assert np.array_equal(res.control.values, selected)
         assert (res.drift_mismatch, res.reward_violations, res.worst_reward_loss) == (mismatch, violations, loss)
+
+    @pytest.mark.parametrize("seed", [3, 58])
+    @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square"])
+    def test_certificate_rows(self, name, seed):
+        # the symmetric rows and flat flow the selection certificate runs on
+        game = make_game(name, reward_sign=1.0) if name == "action_square" else make_game(name)
+        tg = TimeGrid(1.0, 40)
+        q = np.random.default_rng(derive_seed(seed, 7, "rows")).uniform(0.0, 0.5, size=tg.n_steps)
+        rel = constant_relaxed(tg, _three_atoms(), np.column_stack([q, 1.0 - 2.0 * q, q]))
+        res = strict_selection(game, rel, _flat_flow(tg))
+        selected, mismatch, violations, loss = _oracle_strict_selection(game, rel, _flat_flow(tg))
+        assert np.array_equal(res.control.values, selected)
+        assert (res.drift_mismatch, res.reward_violations, res.worst_reward_loss) == (mismatch, violations, loss)
+        assert (violations == tg.n_steps * 3) == (name == "action_square")
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_steps_with_nan_rewards_are_skipped_like_the_loop(self, declared):
+        # Python's running max never takes a NaN step maximum, and that step's
+        # finite losses do not count either
+        base = make_game("action_square", reward_sign=1.0)
+        game = dataclasses.replace(
+            base,
+            running=lambda t, x, m, a: base.running(t, x, m, a) + np.where((t > 0.2) & (t < 0.5) & (x[..., 0] > 0.0), np.nan, 0.0),
+            coefficients_batch_time=declared,
+        )
+        tg = TimeGrid(1.0, 30)
+        sg = SpatialGrid(np.array([-3.0]), np.array([3.0]), 25)
+        ag = ActionGrid(np.array([-1.0]), np.array([1.0]), 5)
+        rel = ControlField.relaxed(tg, sg, ag, np.random.default_rng(5).dirichlet(np.ones(5), size=(tg.n_steps, 25)))
+        flow = _flat_flow(tg)
+        res = strict_selection(game, rel, flow)
+        selected, mismatch, violations, loss = _oracle_strict_selection(game, rel, flow)
+        assert np.array_equal(res.control.values, selected)
+        assert (res.drift_mismatch, res.reward_violations, res.worst_reward_loss) == (mismatch, violations, loss)
+        assert loss > 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mfglab import games, scenarios, sim
 from mfglab.controls import sign_of_mean
 from mfglab.grids import TimeGrid
+from mfglab.measures import EmpiricalFlow, flow_distance, sorted_slices
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
 from mfglab.scenarios import (
     SCENARIOS,
@@ -244,3 +246,29 @@ class TestBatchedRepetitions:
         monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 8 * 50 * 8)
         with pytest.raises(FloatingPointError, match=rf"repetition {first_up}, particle 0, state"):
             scenarios._nplayer_mean_paths(game, feedback, tgrid, 8, 6, 1, ("sign", "sign-init"), 1)
+
+
+class TestPairwiseW1:
+    def test_pairs_keep_flow_distance_bits_and_sort_each_stack_once(self, monkeypatch):
+        tg = TimeGrid(1.0, 20)
+        gen = np.random.default_rng(derive_seed(4, "pairs"))
+        flows = [EmpiricalFlow(tg, gen.normal(c, 1.0, size=(tg.n_steps + 1, 257, 1))) for c in (-0.4, -0.1, 0.0, 0.2, 0.5)]
+        expect = [flow_distance(flows[i], flows[k]) for i in range(5) for k in range(i + 1, 5)]
+
+        live, most_live = set(), [0]
+
+        def tracked(flow):
+            # the sorted stacks alive at once, tracked by weak references
+            stack = sorted_slices(flow)
+            key = id(stack)
+            live.add(key)
+            weakref.finalize(stack, live.discard, key)
+            most_live[0] = max(most_live[0], len(live))
+            return stack
+
+        calls = []
+        monkeypatch.setattr(scenarios, "sorted_slices", lambda flow: calls.append(flow) or tracked(flow))
+        assert scenarios._pairwise_w1(flows) == expect
+        # 14 sorts where sorting both sides of every pair takes 20
+        assert [flows.index(f) for f in calls] == [0, 1, 2, 3, 4, 1, 2, 3, 4, 2, 3, 4, 3, 4]
+        assert most_live[0] == 2 and not live
