@@ -1,8 +1,9 @@
 """Command line front end.
 
 Runs a named scenario from a JSON config (plus dotted --set overrides),
-validates the config against a schema with field-level error messages,
-echoes the resolved config, and writes the report tables next to a summary.
+checks every field of the config by kind and range with field-level error
+messages, echoes the resolved config, and writes the report tables next to
+a summary.
 Exit codes: 0 all checks passed, 2 a scenario check failed, 1 usage or
 runtime error. Only verbosity and thread count may come from environment
 variables; everything else lives in the config so runs are reproducible.
@@ -18,24 +19,12 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from .games import GAME_CATALOG
 from .scenarios import SCENARIOS
 
 log = logging.getLogger("mfglab")
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["scenario"],
-    "additionalProperties": False,
-    "properties": {
-        "scenario": {"type": "string", "enum": sorted(SCENARIOS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1, "maximum": 256},
-        "params": {"type": "object"},
-    },
-}
+_TOP_LEVEL = ("scenario", "seed", "threads", "params")
 
 
 def _parse_set(assignment: str):
@@ -60,13 +49,27 @@ def _apply_set(config: dict, key: str, value) -> None:
 
 
 def _validate(config: dict) -> list:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    msgs = []
-    for err in sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path)):
-        where = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        msgs.append(f"config error at {where}: {err.message}")
-    if not msgs:
-        msgs = _param_errors(config["scenario"], config["params"])
+    """One message per problem in the resolved config, top-level fields first, then params."""
+    msgs = [f"config error at <root>: unknown field {key!r}; a config takes {', '.join(_TOP_LEVEL)}"
+            for key in sorted(config) if key not in _TOP_LEVEL]
+    scenario = config.get("scenario")
+    known = isinstance(scenario, str) and scenario in SCENARIOS  # isinstance first: a list is unhashable
+    if not known:
+        got = f"got {type(scenario).__name__} {scenario!r}" if "scenario" in config else "none given"
+        msgs.append(f"config error at scenario: expected one of {', '.join(sorted(SCENARIOS))}, {got}")
+    for key, lo, hi in (("seed", 0, None), ("threads", 1, 256)):
+        value = config.get(key)
+        kind = _kind_errors(key, value, 0)
+        if kind:
+            msgs += kind
+        elif value < lo or (hi is not None and value > hi):
+            bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            msgs.append(f"config error at {key}: must be {bounds}, got {value}")
+    params = config.get("params")
+    if not isinstance(params, dict):
+        msgs.append(f"config error at params: expected an object, got {type(params).__name__} {params!r}")
+    elif known:
+        msgs += _param_errors(scenario, params)
     return msgs
 
 

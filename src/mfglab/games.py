@@ -123,7 +123,6 @@ class GameSpec:
     terminal_bound: float
     state_lo: np.ndarray
     state_hi: np.ndarray
-    measure_stats: tuple = ("mean",)
     drift_affine_in_action: bool = False
     # (f1(t, x, m), f2(t, x, a)) when the running reward separates into a
     # measure part and an action part; required by the monotonicity checker

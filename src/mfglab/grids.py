@@ -88,9 +88,6 @@ class SpatialGrid:
         np.clip(idx, 0, self.n_nodes - 1, out=idx)
         return tuple(idx[..., i] for i in range(self.dim))
 
-    def refine(self, factor: int) -> "SpatialGrid":
-        return SpatialGrid(self.lo, self.hi, (self.n_nodes - 1) * factor + 1)
-
 
 @dataclass(frozen=True)
 class ActionGrid:

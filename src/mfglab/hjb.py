@@ -94,20 +94,19 @@ def solve_hjb(
     agrid: ActionGrid,
     *,
     tie_tol: float = 0.0,
-    tie_break: str = "lowest",
 ) -> HJBSolution:
     """Dynamic programming against a frozen flow.
 
-    The per-node maximization scans the ActionGrid atoms; exact ties go to
-    the lowest lattice index. With tie_break="mean_drift", atoms whose
+    The per-node maximization scans the ActionGrid atoms. With tie_tol 0,
+    exact ties go to the lowest lattice index. With tie_tol > 0, atoms whose
     Hamiltonian is within tie_tol of the maximum count as tied and the
     representative is the tied atom whose drift is closest to the tied set's
     average drift (then largest running reward, then lowest index). That
     keeps statistically indistinguishable actions from collapsing onto an
     arbitrary extreme.
     """
-    if tie_break not in ("lowest", "mean_drift"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    if not 0.0 <= tie_tol < np.inf:
+        raise ValueError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
     if sgrid.dim != game.dim:
         raise ValueError("spatial grid dimension must match the game")
     tgrid = flow.grid
@@ -168,13 +167,8 @@ def solve_hjb(
             raise FloatingPointError(f"coefficients produced a non-finite Hamiltonian at t={t:.6g}")
 
         Hmax = H.max(axis=0)
-        if tie_break == "lowest" or tie_tol == 0.0:
-            # within-tolerance ties still resolve to the first maximizer,
-            # which is the lowest lattice index by atom ordering
-            if tie_tol > 0.0:
-                sel = np.argmax(H >= Hmax - tie_tol, axis=0)
-            else:
-                sel = H.argmax(axis=0)
+        if tie_tol == 0.0:
+            sel = H.argmax(axis=0)
         else:
             tied = H >= Hmax - tie_tol
             weights = tied / tied.sum(axis=0)

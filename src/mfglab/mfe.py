@@ -107,7 +107,6 @@ def picard_mfe(
         sgrid = stable_spatial_grid(game, tgrid)
     if agrid is None:
         agrid = default_action_grid(game)
-    tie_break = "mean_drift" if indifference > 0.0 else "lowest"
 
     flow = init_flow
     # the sorted slices of the current flow ride along to the next residual,
@@ -120,7 +119,7 @@ def picard_mfe(
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
-        control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference, tie_break=tie_break).control
+        control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference).control
         mixer = philox(derive_seed(seed, "mix", k), 0)
         take_new = mixer.choice(n_particles, size=n_new, replace=False)
         take_old = mixer.choice(n_particles, size=n_particles - n_new, replace=False)
@@ -150,7 +149,7 @@ def picard_mfe(
 
     flow_sorted = None  # not needed by the last solve; free its stack first
     # refresh the feedback against the flow actually returned
-    control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference, tie_break=tie_break).control
+    control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference).control
     return PicardResult(flow=flow, control=control, residuals=residuals, converged=converged, iterations=k, mean_endpoints=endpoints)
 
 

@@ -85,13 +85,12 @@ class ScenarioReport:
             (out / "curves.svg").write_text(svg_line_plot(self.curves, title=self.scenario))
 
 
-def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed: int, labels, threads: int) -> np.ndarray:
+def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed: int, labels) -> np.ndarray:
     """Particle-mean paths (reps, M+1) of independent 1-d n-player runs.
 
     Repetition r draws its noise and initial cloud from the seeds derived
     from (seed, label, n, r) for the noise and initial-cloud labels. Each
-    chunk of repetitions is stepped as a batch, one chunk after another
-    whatever threads is.
+    chunk of repetitions is stepped as a batch, one chunk after another.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -133,7 +132,7 @@ def run_sign_drift(
     near_tol = 0.2 * horizon
 
     for n in n_values:
-        paths = _nplayer_mean_paths(game, feedback, tgrid, n, reps, seed, ("sign", "sign-init"), threads)
+        paths = _nplayer_mean_paths(game, feedback, tgrid, n, reps, seed, ("sign", "sign-init"))
         ramp_dist = np.minimum(np.abs(paths - ramp).max(axis=1), np.abs(paths + ramp).max(axis=1))
         rows = [{
             "n": n, "rep": r,
@@ -220,7 +219,7 @@ def run_mean_drift(
 
     sup_errs = {}
     for n in n_values:
-        paths = _nplayer_mean_paths(game, feedback, tgrid, n, reps, seed, ("mdrift", "mdrift-init"), threads)
+        paths = _nplayer_mean_paths(game, feedback, tgrid, n, reps, seed, ("mdrift", "mdrift-init"))
         sup_err = np.abs(paths - oracle).max(axis=1)
         if profile not in ("linear", "zero"):
             sup_err = np.minimum(sup_err, np.abs(paths + oracle).max(axis=1))

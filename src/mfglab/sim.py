@@ -60,9 +60,6 @@ class ParticleEnsemble:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    def cloud(self, j: int) -> np.ndarray:
-        return self.states[:, j, :]
-
 
 def _check_finite(values: np.ndarray, what: str, t: float, x: np.ndarray, first_rep: int = 0) -> None:
     """Raise on the first non-finite entry of values (..., n, ...) aligned with states x (..., n, d).

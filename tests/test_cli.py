@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -143,6 +146,75 @@ class TestRun:
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestTopLevelFields:
+    """The top-level fields get the kind rules of params: JSON integers only."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["--set", "seed=3.0"], "config error at seed: expected an integer, got float 3.0"),
+        (["--set", "seed=true"], "config error at seed: expected an integer, got bool True"),
+        (["--set", "threads=2.0"], "config error at threads: expected an integer, got float 2.0"),
+        (["--threads", "257"], "config error at threads: must be between 1 and 256, got 257"),
+        (["--set", "params=[16]"], "config error at params: expected an object, got list [16]"),
+    ])
+    def test_bad_field_names_itself_without_a_traceback(self, tmp_path, capsys, args, message):
+        assert main(["run", "mean_drift", "--out", str(tmp_path / "x")] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert "Traceback" not in captured.err and "resolved config" not in captured.out
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_scenario_names_the_field(self, tmp_path, capsys):
+        assert main(["run", "--seed", "1", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error at scenario: expected one of mean_drift, monotone_uniqueness, sign_drift")
+        assert "Traceback" not in err
+
+    def test_unhashable_scenario_names_the_field(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": ["mean_drift"]}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "config error at scenario:" in err and "got list ['mean_drift']" in err
+        assert "Traceback" not in err
+
+    def test_every_bad_field_is_reported_before_anything_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "mean_drift", "seed": -1, "threads": 1.5, "bogus": 0,
+                                   "params": {"reps": "many"}}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "config error at <root>: unknown field 'bogus'; a config takes scenario, seed, threads, params",
+            "config error at seed: must be at least 0, got -1",
+            "config error at threads: expected an integer, got float 1.5",
+            "config error at params.reps: expected an integer, got str 'many'",
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
+    @staticmethod
+    def _child(code):
+        # a child process, so module state cannot leak into other tests
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+
+    def test_cli_imports_and_runs_with_jsonschema_blocked(self, tmp_path):
+        child = self._child(f"""
+import sys
+sys.modules["jsonschema"] = None  # any import of it now fails
+from mfglab.cli import main
+sys.exit(main(["run", "mean_drift", "--out", {str(tmp_path / "o")!r}] + {FAST_ZERO!r}))
+""")
+        assert child.returncode == 0, child.stderr
+        assert "overall: PASS" in child.stdout
+
+    def test_importing_the_cli_loads_no_jsonschema(self):
+        child = self._child("import sys, mfglab, mfglab.cli; print('jsonschema' in sys.modules)")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
 
 
 class TestConfigResolution:

@@ -51,12 +51,9 @@ class TestSpatialGrid:
         assert idx[0][0] == 0
         assert idx[0][1] == 4
 
-    def test_spacing_and_refine(self):
+    def test_spacing(self):
         sg = SpatialGrid(np.array([0.0]), np.array([1.0]), 5)
         assert np.allclose(sg.spacing, 0.25)
-        fine = sg.refine(2)
-        assert fine.n_nodes == 9
-        assert np.allclose(fine.spacing, 0.125)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):

@@ -92,10 +92,9 @@ def _picard_oracle(game, init_flow, *, damping, tol, max_iter, seed, metric, ind
     fancy-indexed gathers (which leaves the flow particle-major)."""
     tgrid, n = init_flow.grid, init_flow.n_particles
     sgrid, agrid = stable_spatial_grid(game, tgrid), default_action_grid(game)
-    tie_break = "mean_drift" if indifference > 0.0 else "lowest"
     flow, residuals, endpoints = init_flow, [], []
     for k in range(1, max_iter + 1):
-        control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference, tie_break=tie_break).control
+        control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference).control
         bundle = sample_brownian(derive_seed(seed, "picard", k), n, tgrid, game.dim)
         x0 = initial_cloud(derive_seed(seed, "picard-init", k), n, game.initial.sampler())
         fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
@@ -109,7 +108,7 @@ def _picard_oracle(game, init_flow, *, damping, tol, max_iter, seed, metric, ind
         flow = mixed
         if residuals[-1] <= tol:
             break
-    control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference, tie_break=tie_break).control
+    control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference).control
     return flow, control, residuals, endpoints
 
 

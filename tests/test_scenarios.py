@@ -245,7 +245,7 @@ class TestBatchedRepetitions:
         assert first_up > 0  # so the repetition number is not the chunk-local 0
         monkeypatch.setattr(sim, "_CHUNK_NOISE_BYTES", 8 * 50 * 8)
         with pytest.raises(FloatingPointError, match=rf"repetition {first_up}, particle 0, state"):
-            scenarios._nplayer_mean_paths(game, feedback, tgrid, 8, 6, 1, ("sign", "sign-init"), 1)
+            scenarios._nplayer_mean_paths(game, feedback, tgrid, 8, 6, 1, ("sign", "sign-init"))
 
 
 class TestPairwiseW1:
