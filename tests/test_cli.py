@@ -157,6 +157,11 @@ class TestTopLevelFields:
         (["--set", "threads=2.0"], "config error at threads: expected an integer, got float 2.0"),
         (["--threads", "257"], "config error at threads: must be between 1 and 256, got 257"),
         (["--set", "params=[16]"], "config error at params: expected an object, got list [16]"),
+        (["--threads", "0"], "config error at threads: must be between 1 and 256, got 0"),
+        (["--seed", "-1"], "config error at seed: must be at least 0, got -1"),
+        (["--set", 'threads="2"'], "config error at threads: expected an integer, got str '2'"),
+        (["--set", 'scenario="nope"'],
+         "config error at scenario: expected one of mean_drift, monotone_uniqueness, sign_drift, got str 'nope'"),
     ])
     def test_bad_field_names_itself_without_a_traceback(self, tmp_path, capsys, args, message):
         assert main(["run", "mean_drift", "--out", str(tmp_path / "x")] + args) == 1
