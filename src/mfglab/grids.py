@@ -7,6 +7,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def positive_count(value, name: str) -> int:
+    """value as a positive int; bools, non-integers and values below 1 are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < t_1 < ... < t_M = horizon."""
@@ -17,8 +26,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"need at least one step, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", positive_count(self.n_steps, "n_steps"))
 
     @property
     def dt(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .controls import ControlField
 from .games import GameSpec
-from .grids import ActionGrid, SpatialGrid, TimeGrid
+from .grids import ActionGrid, SpatialGrid, TimeGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import SORTED_METRICS, EmpiricalFlow, check_metric, flow_distance, sorted_distance, sorted_slices
 from .rng import derive_seed, initial_cloud, philox, sample_brownian
@@ -39,15 +39,6 @@ def candidate_flow(game: GameSpec, tgrid: TimeGrid, mean_path, n_particles: int,
     paths += x0[:, None, :]  # in place: x0 + W, then + the mean shift
     paths += (mean_path - mean_path[0])[None, :, :]
     return EmpiricalFlow.from_states(tgrid, paths)
-
-
-def _positive_count(value, name: str) -> int:
-    """value as a positive int; bools, non-integers and values below 1 are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return int(value)
 
 
 @dataclass
@@ -169,7 +160,7 @@ def consistency_residual(
     """
     check_metric(metric)
     tgrid = flow.grid
-    n = flow.n_particles if n_particles is None else _positive_count(n_particles, "n_particles")
+    n = flow.n_particles if n_particles is None else positive_count(n_particles, "n_particles")
     bundle = sample_brownian(derive_seed(seed, "consistency"), n, tgrid, game.dim)
     x0 = initial_cloud(derive_seed(seed, "consistency-init"), n, game.initial.sampler())
     fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
@@ -193,8 +184,8 @@ def same_law_baseline(
     """
     check_metric(metric)
     tgrid = flow.grid
-    n = flow.n_particles if n_particles is None else _positive_count(n_particles, "n_particles")
-    reps = _positive_count(reps, "reps")
+    n = flow.n_particles if n_particles is None else positive_count(n_particles, "n_particles")
+    reps = positive_count(reps, "reps")
     vals = []
     for r in range(reps):
         ens = []

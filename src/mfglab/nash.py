@@ -26,10 +26,9 @@ import numpy as np
 
 from .controls import ControlField
 from .games import GameSpec, MeasureStats
-from .grids import ActionGrid, SpatialGrid
+from .grids import ActionGrid, SpatialGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import FLOW_FUNCTIONALS, EmpiricalFlow
-from .mfe import _positive_count
 from .sim import (
     ParticleEnsemble,
     _feedback_groups,
@@ -199,7 +198,7 @@ def exploitability_estimate(
     whatever reps is, and the rows are those of running the repetitions one
     at a time.
     """
-    reps, n = _positive_count(reps, "reps"), _positive_count(n, "n")
+    reps, n = positive_count(reps, "reps"), positive_count(n, "n")
     tgrid = mfe_flow.grid
     for name, control in (("mfe_control", mfe_control), ("br_control", br_control)):
         if control is not None and control.tgrid != tgrid:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .controls import ControlField
 from .games import GameSpec
-from .grids import ActionGrid, SpatialGrid, TimeGrid
+from .grids import ActionGrid, SpatialGrid, TimeGrid, positive_count
 from .measures import sliced_wasserstein1
 from .sim import coefficient_table
 
@@ -36,52 +35,46 @@ def constant_relaxed(tgrid: TimeGrid, agrid: ActionGrid, probs, name: str = "") 
 
 
 def largest_remainder(probs: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to total, proportional to probs.
+    """Integer counts summing to total, proportional to probs, for each row (..., n_atoms).
 
     Floors first, then hands the leftover units to the largest fractional
     remainders; remainder ties resolve by atom index, so the rounding is
     deterministic.
     """
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
+    if probs.ndim == 0 or probs.size == 0:
         raise ValueError("probs must be a nonempty vector")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
+    # written so that a NaN entry fails too
+    if not (np.all(probs >= -1e-12) and np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("probs must be a probability vector")
+    if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
+        raise ValueError(f"total must be an int, got {total!r}")
+    if total < 0:
+        raise ValueError(f"total must be at least 0, got {total}")
     raw = probs * total
     counts = np.floor(raw).astype(np.intp)
-    short = total - int(counts.sum())
-    if short > 0:
-        # stable sort keeps atom order among equal remainders
-        order = np.argsort(-(raw - counts), kind="stable")
-        counts[order[:short]] += 1
+    short = total - counts.sum(axis=-1, keepdims=True)
+    # stable sort keeps atom order among equal remainders
+    order = np.argsort(-(raw - counts), axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(probs.shape[-1]), axis=-1)
+    counts += rank < short
     return counts
-
-
-@lru_cache(maxsize=4096)
-def _roundrobin_schedule(counts: tuple) -> tuple:
-    """Atom index sequence: repeated passes over atoms with remaining budget."""
-    remaining = list(counts)
-    seq = []
-    while any(r > 0 for r in remaining):
-        for i, r in enumerate(remaining):
-            if r > 0:
-                seq.append(i)
-                remaining[i] -= 1
-    return tuple(seq)
 
 
 def chattering_approximation(relaxed: ControlField, substeps: int) -> ControlField:
     """Ordinary control on a substeps-times finer grid replaying a relaxed field.
 
     Within each original step the atoms appear interleaved, with substep
-    counts given by largest-remainder rounding of the row probabilities.
+    counts given by largest-remainder rounding of the row probabilities:
+    repeated passes over the atoms in index order, each pass taking the
+    atoms that have substeps left.
     Warns when an atom carrying at least 1/(2 * n_atoms) probability receives
     no substeps, since the replay then misses a non-negligible atom entirely.
     """
     if not relaxed.is_relaxed:
         raise ValueError("chattering starts from a relaxed control field")
-    if substeps < 1:
-        raise ValueError("need at least one substep")
+    substeps = positive_count(substeps, "substeps")
     tgrid = relaxed.tgrid
     fine = tgrid.refine(substeps)
     M = tgrid.n_steps
@@ -89,23 +82,16 @@ def chattering_approximation(relaxed: ControlField, substeps: int) -> ControlFie
     nA = atoms.shape[0]
     space = relaxed.sgrid.shape
     probs = relaxed.values.reshape(M, -1, nA)  # (M, P, nA)
-    P = probs.shape[1]
-
-    starved = False
-    out = np.empty((M * substeps, P, atoms.shape[1]))
-    for j in range(M):
-        for p in range(P):
-            counts = largest_remainder(probs[j, p], substeps)
-            if not starved and np.any((counts == 0) & (probs[j, p] >= 0.5 / nA)):
-                starved = True
-            seq = _roundrobin_schedule(tuple(int(c) for c in counts))
-            out[j * substeps : (j + 1) * substeps, p] = atoms[list(seq)]
-    if starved:
+    counts = largest_remainder(probs, substeps)
+    if np.any((counts == 0) & (probs >= 0.5 / nA)):
         warnings.warn(
             "chattering with so few substeps that an atom of probability >= 1/(2*n_atoms) got none",
             RuntimeWarning,
         )
-    values = out.reshape((M * substeps,) + space + (atoms.shape[1],))
+    # (M, P, pass, atom) in C order lists each row's substep atoms in replay order
+    takes = np.arange(substeps)[:, None] < counts[:, :, None, :]
+    seq = (np.flatnonzero(takes) % nA).reshape(M, -1, substeps).swapaxes(1, 2)  # (M, substeps, P)
+    values = atoms[seq].reshape((M * substeps,) + space + (atoms.shape[1],))
     return ControlField.pure(fine, relaxed.sgrid, values, name=f"chatter[{relaxed.name or 'relaxed'}x{substeps}]")
 
 
@@ -144,6 +130,7 @@ def occupation_w1(pure: ControlField, relaxed: ControlField, x=None, *, target_l
     """
     if not relaxed.is_relaxed or pure.is_relaxed:
         raise ValueError("expected (pure, relaxed) in that order")
+    target_level = positive_count(target_level, "target_level")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         reference = chattering_approximation(relaxed, target_level)

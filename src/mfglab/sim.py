@@ -50,7 +50,6 @@ class ParticleEnsemble:
     states: np.ndarray
     bundle: BrownianBundle | None = None
     drifts: np.ndarray | None = None  # (n, M, d) realized drift per step
-    seed: int | None = None
 
     @property
     def n(self) -> int:
@@ -307,7 +306,7 @@ def simulate_nplayer(game: GameSpec, feedbacks, bundle: BrownianBundle, init: np
     init = _prep_init(init, bundle.n, bundle.dim)
     drift = nplayer_drift(game, feedbacks, bundle.grid, bundle.n)
     states, drifts = euler(drift, bundle.increments, init, bundle.grid)
-    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts, seed=bundle.seed)
+    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts)
 
 
 def simulate_frozen_flow(game: GameSpec, control: ControlField, flow, bundle: BrownianBundle, init: np.ndarray) -> ParticleEnsemble:
@@ -327,7 +326,7 @@ def simulate_frozen_flow(game: GameSpec, control: ControlField, flow, bundle: Br
         out[...] = control_drift(game, control, j, times[j], x, stats_path[j])
 
     states, drifts = euler(drift, bundle.increments, init, bundle.grid)
-    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts, seed=bundle.seed)
+    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts)
 
 
 def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> ParticleEnsemble:
@@ -349,7 +348,7 @@ def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> Particle
         out[...] = drift(j, x)
 
     states, drifts = euler(fill, bundle.increments, init, bundle.grid)
-    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts, seed=bundle.seed)
+    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts)
 
 
 def path_payoffs(game: GameSpec, ensemble: ParticleEnsemble, feedbacks, stats_path=None) -> np.ndarray:

@@ -27,6 +27,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, 4.0])
+    def test_refuses_non_integer_steps_by_name(self, bad):
+        with pytest.raises(ValueError, match="n_steps must be an int"):
+            TimeGrid(1.0, bad)
+
+    def test_stores_an_int_step_count(self):
+        tg = TimeGrid(1.0, np.int64(4))
+        assert type(tg.n_steps) is int
+        assert tg == TimeGrid(1.0, 4)
+
 
 class TestSpatialGrid:
     def test_nodes_roundtrip_through_nearest_index(self):

@@ -8,7 +8,7 @@ from mfglab.controls import ControlField
 from mfglab.games import make_game, monotone_lq, sign_drift
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.hjb import evaluate_payoff
-from mfglab.measures import DeterministicFlow
+from mfglab.measures import DeterministicFlow, sliced_wasserstein1
 from mfglab.mfe import candidate_flow
 from mfglab.relaxed import (
     chattering_approximation,
@@ -110,6 +110,186 @@ class TestChattering:
             target = rows @ ag.atoms[:, 0]
             bound = ag.n_atoms / N * (ag.atoms[:, 0].max() - ag.atoms[:, 0].min())
             assert np.abs(per_step - target).max() <= bound + 1e-12
+
+
+def _oracle_largest_remainder(probs, total):
+    """largest_remainder as it stood for one row."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("probs must be a nonempty vector")
+    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError("probs must be a probability vector")
+    raw = probs * total
+    counts = np.floor(raw).astype(np.intp)
+    short = total - int(counts.sum())
+    if short > 0:
+        # stable sort keeps atom order among equal remainders
+        order = np.argsort(-(raw - counts), kind="stable")
+        counts[order[:short]] += 1
+    return counts
+
+
+def _oracle_roundrobin_schedule(counts: tuple) -> tuple:
+    """Atom index sequence: repeated passes over atoms with remaining budget.
+
+    The library memoized this per counts tuple; the memo never changed a result.
+    """
+    remaining = list(counts)
+    seq = []
+    while any(r > 0 for r in remaining):
+        for i, r in enumerate(remaining):
+            if r > 0:
+                seq.append(i)
+                remaining[i] -= 1
+    return tuple(seq)
+
+
+def _oracle_chattering(relaxed, substeps):
+    """chattering_approximation as it stood, one (step, node) row at a time."""
+    if not relaxed.is_relaxed:
+        raise ValueError("chattering starts from a relaxed control field")
+    if substeps < 1:
+        raise ValueError("need at least one substep")
+    tgrid = relaxed.tgrid
+    fine = tgrid.refine(substeps)
+    M = tgrid.n_steps
+    atoms = relaxed.agrid.atoms
+    nA = atoms.shape[0]
+    space = relaxed.sgrid.shape
+    probs = relaxed.values.reshape(M, -1, nA)  # (M, P, nA)
+    P = probs.shape[1]
+
+    starved = False
+    out = np.empty((M * substeps, P, atoms.shape[1]))
+    for j in range(M):
+        for p in range(P):
+            counts = _oracle_largest_remainder(probs[j, p], substeps)
+            if not starved and np.any((counts == 0) & (probs[j, p] >= 0.5 / nA)):
+                starved = True
+            seq = _oracle_roundrobin_schedule(tuple(int(c) for c in counts))
+            out[j * substeps : (j + 1) * substeps, p] = atoms[list(seq)]
+    if starved:
+        warnings.warn(
+            "chattering with so few substeps that an atom of probability >= 1/(2*n_atoms) got none",
+            RuntimeWarning,
+        )
+    values = out.reshape((M * substeps,) + space + (atoms.shape[1],))
+    return ControlField.pure(fine, relaxed.sgrid, values, name=f"chatter[{relaxed.name or 'relaxed'}x{substeps}]")
+
+
+def _claim9_rows(seed):
+    """The eight relaxed row fields claim 9 measures the chattering rate on."""
+    tg = TimeGrid(1.0, 20)
+    return [
+        constant_relaxed(tg, _three_atoms(), np.random.default_rng(derive_seed(seed, "rows", k)).dirichlet(np.ones(3), size=tg.n_steps))
+        for k in range(8)
+    ]
+
+
+def _oracle_fields():
+    fields = _claim9_rows(11)
+    rng = np.random.default_rng(derive_seed(9, "oracle"))
+    tg = TimeGrid(1.0, 6)
+    sg = SpatialGrid(np.array([-1.0]), np.array([1.0]), 7)
+    fields.append(ControlField.relaxed(tg, sg, _three_atoms(), rng.dirichlet(np.ones(3), size=(6, 7)), name="varying"))
+    sg2 = SpatialGrid(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 5)
+    ag2 = ActionGrid(np.array([-1.0, 0.0]), np.array([1.0, 0.5]), 3)  # 9 atoms in 2-d
+    fields.append(ControlField.relaxed(tg, sg2, ag2, rng.dirichlet(0.5 * np.ones(9), size=(6, 5, 5)), name="plane"))
+    ties = np.array([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.25, 0.25, 0.5], [0.1, 0.45, 0.45], [0.0, 1.0, 0.0]])
+    fields.append(constant_relaxed(tg, _three_atoms(), ties, name="ties"))
+    return fields
+
+
+LEVELS = (1, 2, 3, 4, 7, 8, 16, 17, 100, 256)
+
+
+def _warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sum(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+class TestChatteringMatchesRowLoop:
+    @pytest.mark.parametrize("k", range(11))
+    def test_fields_and_levels(self, k):
+        rel = _oracle_fields()[k]
+        for N in LEVELS:
+            chat, warned = _warned(chattering_approximation, rel, N)
+            want, want_warned = _warned(_oracle_chattering, rel, N)
+            assert np.array_equal(chat.values, want.values), (k, N)
+            assert chat.values.shape == want.values.shape
+            assert (chat.tgrid, chat.name, chat.sgrid) == (want.tgrid, want.name, want.sgrid)
+            assert warned == want_warned <= 1, (k, N)
+
+    def test_some_levels_starve(self):
+        counts = [_warned(chattering_approximation, rel, N)[1] for rel in _oracle_fields() for N in LEVELS]
+        assert 0 < sum(counts) < len(counts)
+
+    def test_stacked_rounding_equals_rows(self):
+        rows = np.random.default_rng(derive_seed(10, "rows")).dirichlet(np.ones(5), size=200)
+        for total in (0, 1, 3, 17, 256):
+            stacked = largest_remainder(rows, total)
+            by_row = np.stack([largest_remainder(r, total) for r in rows])
+            assert np.array_equal(stacked, by_row)
+            assert np.array_equal(by_row, np.stack([_oracle_largest_remainder(r, total) for r in rows]))
+            assert np.array_equal(largest_remainder(rows.reshape(10, 20, 5), total), stacked.reshape(10, 20, 5))
+            assert np.all(stacked.sum(axis=-1) == total)
+        # remainder ties in rows longer than the sort's small-array cutoff
+        wide = np.random.default_rng(derive_seed(10, "wide")).choice([0.0, 1 / 80, 2 / 80, 3 / 80], size=(50, 40))
+        wide[:, 0] += 1.0 - wide.sum(axis=1)
+        for total in (17, 100):
+            assert np.array_equal(largest_remainder(wide, total), np.stack([_oracle_largest_remainder(r, total) for r in wide]))
+
+    def test_row_edited_after_construction_is_refused(self):
+        rel = constant_relaxed(TimeGrid(1.0, 4), _three_atoms(), np.tile([0.2, 0.3, 0.5], (4, 1)))
+        rel.values[2, 1] = [0.3, 0.3, 0.5]  # sums to 1.1
+        with pytest.raises(ValueError, match="probability vector"):
+            chattering_approximation(rel, 4)
+
+    def test_nan_row_is_refused(self):
+        # the relaxed field's own row-sum check lets a NaN row through
+        rows = np.tile([0.2, 0.3, 0.5], (2, 1))
+        rows[1] = [np.nan, 0.5, 0.5]
+        rel = constant_relaxed(TimeGrid(1.0, 2), _three_atoms(), rows)
+        with pytest.raises(ValueError, match="probability vector"):
+            chattering_approximation(rel, 4)
+        with pytest.raises(ValueError, match="probability vector"):
+            largest_remainder(np.array([np.nan, 1.0]), 4)
+
+    def test_claim9_occupation_distances(self):
+        for rel in _claim9_rows(0):
+            reference = _oracle_chattering(rel, 256)
+            for N in (4, 8, 16, 32):
+                pure = chattering_approximation(rel, N)
+                want, _ = sliced_wasserstein1(occupation_samples(_oracle_chattering(rel, N)), occupation_samples(reference), n_directions=32, seed=0)
+                assert occupation_w1(pure, rel) == want
+
+
+class TestCountArguments:
+    def _rel(self):
+        return constant_relaxed(TimeGrid(1.0, 4), _three_atoms(), np.tile([0.2, 0.3, 0.5], (4, 1)))
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0, -1])
+    def test_substeps(self, bad):
+        with pytest.raises(ValueError, match="substeps"):
+            chattering_approximation(self._rel(), bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0])
+    def test_target_level(self, bad):
+        rel = self._rel()
+        with pytest.raises(ValueError, match="target_level"):
+            occupation_w1(chattering_approximation(rel, 4), rel, target_level=bad)
+
+    @pytest.mark.parametrize("bad", [-3, True, 2.5])
+    def test_total(self, bad):
+        with pytest.raises(ValueError, match="total"):
+            largest_remainder(np.array([0.25, 0.75]), bad)
+
+    def test_numpy_counts_are_accepted(self):
+        rel = self._rel()
+        assert np.array_equal(chattering_approximation(rel, np.int64(5)).values, chattering_approximation(rel, 5).values)
+        assert largest_remainder(np.array([0.25, 0.75]), np.int32(4)).tolist() == [1, 3]
 
 
 class TestOccupationDistances:
