@@ -21,14 +21,7 @@ from .games import (
 )
 from .grids import ActionGrid, SpatialGrid, TimeGrid
 from .hjb import CFLError, ValueField, cfl_limit, default_action_grid, evaluate_payoff, solve_hjb, stable_spatial_grid
-from .measures import (
-    DeterministicFlow,
-    EmpiricalFlow,
-    flow_distance,
-    sliced_wasserstein1,
-    tv_binned,
-    wasserstein1_1d,
-)
+from .measures import DeterministicFlow, EmpiricalFlow, flow_distance, sliced_wasserstein1, wasserstein1_1d
 from .mfe import PicardResult, candidate_flow, check_monotonicity, consistency_residual, picard_mfe, same_law_baseline
 from .nash import (
     ExploitabilityResult,
@@ -67,6 +60,5 @@ __all__ = [
     "run_monotone_uniqueness", "run_sign_drift", "same_law_baseline",
     "sample_brownian", "sign_drift", "sign_of_mean", "sign_of_state",
     "simulate_frozen_flow", "simulate_nplayer", "sliced_wasserstein1",
-    "solve_hjb", "stable_spatial_grid", "strict_selection", "tv_binned",
-    "wasserstein1_1d",
+    "solve_hjb", "stable_spatial_grid", "strict_selection", "wasserstein1_1d",
 ]

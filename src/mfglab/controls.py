@@ -48,11 +48,12 @@ class ControlField:
                 raise ValueError("relaxed control needs an action grid")
             if self.values.shape[-1] != self.agrid.n_atoms:
                 raise ValueError("relaxed rows must have one entry per action atom")
-            if np.any(self.values < -_ROW_SUM_TOL):
-                raise ValueError("relaxed probabilities must be nonnegative")
+            # written so that a NaN entry fails both checks
+            if not np.all(self.values >= -_ROW_SUM_TOL):
+                raise ValueError("relaxed probabilities must be nonnegative, and not NaN")
             row_sums = self.values.sum(axis=-1)
             worst = float(np.abs(row_sums - 1.0).max())
-            if worst > _ROW_SUM_TOL:
+            if not worst <= _ROW_SUM_TOL:
                 raise ValueError(f"relaxed rows must sum to 1 within {_ROW_SUM_TOL}, worst error {worst:.3e}")
 
     @property

@@ -16,6 +16,18 @@ def positive_count(value, name: str) -> int:
     return int(value)
 
 
+def _bounds(lo, hi) -> tuple:
+    """lo and hi as 1-d float arrays of equal length with finite entries."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise ValueError("lo and hi must be 1-d arrays of equal length")
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not np.all(np.isfinite(bound)):
+            raise ValueError(f"{name} must be finite, got {bound}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < t_1 < ... < t_M = horizon."""
@@ -54,16 +66,15 @@ class SpatialGrid:
     n_nodes: int
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo and hi must be 1-d arrays of equal length")
+        lo, hi = _bounds(self.lo, self.hi)
         if not np.all(hi > lo):
             raise ValueError("need hi > lo on every axis")
-        if self.n_nodes < 3:
-            raise ValueError(f"need at least 3 nodes per axis, got {self.n_nodes}")
+        n_nodes = positive_count(self.n_nodes, "n_nodes")
+        if n_nodes < 3:
+            raise ValueError(f"n_nodes must be at least 3 per axis, got {n_nodes}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "n_nodes", n_nodes)
 
     @property
     def dim(self) -> int:
@@ -111,23 +122,20 @@ class ActionGrid:
     atoms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo and hi must be 1-d arrays of equal length")
+        lo, hi = _bounds(self.lo, self.hi)
         if not np.all(hi >= lo):
             raise ValueError("need hi >= lo on every axis")
-        if self.n_per_axis < 1:
-            raise ValueError("need at least one atom per axis")
-        if self.n_per_axis == 1:
+        n_per_axis = positive_count(self.n_per_axis, "n_per_axis")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "n_per_axis", n_per_axis)
+        if n_per_axis == 1:
             # degenerate axis: a single atom sits at the midpoint; corners
             # coincide with it only when the box is a point, which is the
             # intended use (uncontrolled games)
             axes = [np.array([0.5 * (lo[i] + hi[i])]) for i in range(lo.shape[0])]
         else:
-            axes = [np.linspace(lo[i], hi[i], self.n_per_axis) for i in range(lo.shape[0])]
+            axes = [np.linspace(lo[i], hi[i], n_per_axis) for i in range(lo.shape[0])]
         mesh = np.meshgrid(*axes, indexing="ij")
         atoms = np.stack([m.ravel() for m in mesh], axis=-1)
         object.__setattr__(self, "atoms", atoms)

@@ -35,7 +35,8 @@ def cfl_limit(sgrid: SpatialGrid, drift_bound: float) -> float:
 
 def check_cfl(tgrid: TimeGrid, sgrid: SpatialGrid, drift_bound: float) -> None:
     limit = cfl_limit(sgrid, drift_bound)
-    if tgrid.dt > limit * (1 + 1e-12):
+    # written so that a NaN limit fails
+    if not tgrid.dt <= limit * (1 + 1e-12):
         raise CFLError(
             f"explicit scheme unstable: dt={tgrid.dt:.6g} exceeds the stability limit "
             f"{limit:.6g} for spacing {float(sgrid.spacing.min()):.6g} and drift bound "

@@ -1,10 +1,9 @@
 """Empirical measure flows and the distances used to compare them.
 
 The scalar distances operate on sample clouds. In one dimension the
-1-Wasserstein distance is computed exactly by the sorted coupling; the
-truncated variant uses the same coupling and is reported as an upper bound
-for the optimal truncated cost. Total variation is approximated on a shared
-equal-width binning. Distances between flows take the worst time slice.
+1-Wasserstein distance is computed exactly by the sorted coupling. The
+distance between two 1-d flows is the worst over time slices of that exact
+W1; it is the only flow distance.
 """
 
 from __future__ import annotations
@@ -160,50 +159,6 @@ def wasserstein1_1d(a, b) -> float:
     return float(np.sum(w * np.abs(qa - qb)))
 
 
-def wasserstein_trunc(a, b) -> float:
-    """Sorted-coupling cost for min(1, |x - y|); upper bound on the optimum."""
-    a, b = _as_samples_1d(a), _as_samples_1d(b)
-    if a.size == b.size:
-        return float(np.mean(np.minimum(1.0, np.abs(np.sort(a) - np.sort(b)))))
-    qa, qb, w = _merged_quantiles(a, b)
-    return float(np.sum(w * np.minimum(1.0, np.abs(qa - qb))))
-
-
-def auto_bin_edges(a, b, n_bins: int = 100) -> np.ndarray:
-    """Equal-width edges over the union range, padded by one bin width."""
-    a, b = _as_samples_1d(a), _as_samples_1d(b)
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        raise ValueError("samples contain non-finite values")
-    width = (hi - lo) / n_bins if hi > lo else 1.0
-    return np.linspace(lo - width, hi + width, n_bins + 1)
-
-
-def tv_binned(a, b, bins=100) -> float:
-    """Total variation between binned histograms: 0.5 * sum |p_a - p_b|.
-
-    bins may be an integer count (default layout: equal-width over the padded
-    union range) or an explicit edge array.
-    """
-    a, b = _as_samples_1d(a), _as_samples_1d(b)
-    if np.isscalar(bins):
-        edges = auto_bin_edges(a, b, int(bins))
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("edge array needs at least two entries")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-    pa, _ = np.histogram(a, bins=edges)
-    pb, _ = np.histogram(b, bins=edges)
-    # mass outside the edges still counts toward the discrepancy
-    out_a = a.size - pa.sum()
-    out_b = b.size - pb.sum()
-    tv = 0.5 * (np.abs(pa / a.size - pb / b.size).sum() + abs(out_a / a.size - out_b / b.size))
-    return float(tv)
-
-
 def sliced_directions(dim: int, n_directions: int = 32, seed: int = 0) -> np.ndarray:
     """Fixed seeded unit vectors used by the sliced distance, (n_directions, dim)."""
     v = philox(seed, dim).standard_normal((n_directions, dim))
@@ -223,22 +178,6 @@ def sliced_wasserstein1(a, b, n_directions: int = 32, seed: int = 0):
     return float(np.mean(vals)), n_directions
 
 
-_METRICS = {
-    "w1": wasserstein1_1d,
-    "w1_trunc": wasserstein_trunc,
-    "tv": tv_binned,
-}
-
-# metrics whose equal-size 1-d flow distance reads only sorted slices
-SORTED_METRICS = ("w1", "w1_trunc")
-
-
-def check_metric(metric: str) -> None:
-    """Raise the KeyError flow_distance raises for an unknown metric name."""
-    if metric != "sliced_w1" and metric not in _METRICS:
-        raise KeyError(f"unknown metric {metric!r}; choose from {sorted(_METRICS) + ['sliced_w1']}")
-
-
 def sorted_slices(flow: EmpiricalFlow) -> np.ndarray:
     """Every time slice of a 1-d flow, sorted: (M+1, n)."""
     if flow.dim != 1:
@@ -246,39 +185,32 @@ def sorted_slices(flow: EmpiricalFlow) -> np.ndarray:
     return np.sort(flow.samples[:, :, 0], axis=1)
 
 
-def sorted_distance(consumed: np.ndarray, other: np.ndarray, metric: str = "w1") -> float:
+def sorted_distance(consumed: np.ndarray, other: np.ndarray) -> float:
     """flow_distance of two equal-size 1-d flows from their sorted slices.
 
     The reduction runs in place in consumed, which holds garbage afterwards,
     so no third (M+1, n) stack is ever live; the result is symmetric in the
     two stacks, bit for bit.
     """
-    if metric not in SORTED_METRICS:
-        raise KeyError(f"sorted slices give the distance only for {list(SORTED_METRICS)}, not {metric!r}")
     if consumed.shape != other.shape:
         raise ValueError(f"sorted stacks must share a shape, got {consumed.shape} and {other.shape}")
     per_slice = np.subtract(consumed, other, out=consumed)
     np.abs(per_slice, out=per_slice)
-    if metric == "w1_trunc":
-        np.minimum(1.0, per_slice, out=per_slice)
     return float(per_slice.mean(axis=1).max())
 
 
-def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow, metric: str = "w1") -> float:
-    """Worst over grid times of a per-slice distance between two flows."""
+def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow) -> float:
+    """Worst over grid times of the exact W1 distance between two 1-d flows."""
     if not isinstance(fa, EmpiricalFlow) or not isinstance(fb, EmpiricalFlow):
         raise TypeError("flow_distance needs sample-backed flows")
     if fa.grid != fb.grid:
         raise ValueError("flows must share a time grid")
-    check_metric(metric)
-    if metric == "sliced_w1":
-        per_slice = [sliced_wasserstein1(fa.cloud(j), fb.cloud(j))[0] for j in range(fa.grid.n_steps + 1)]
-        return float(np.max(per_slice))
-    if metric in SORTED_METRICS and fa.dim == fb.dim == 1 and fa.n_particles == fb.n_particles:
+    if fa.dim != 1 or fb.dim != 1:
+        raise ValueError(f"flow_distance needs one-dimensional flows, got dimensions {fa.dim} and {fb.dim}")
+    if fa.n_particles == fb.n_particles:
         # equal sizes reduce to mean |sorted difference|, one sort per flow
-        return sorted_distance(sorted_slices(fa), sorted_slices(fb), metric)
-    dist = _METRICS[metric]
-    per_slice = [dist(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]
+        return sorted_distance(sorted_slices(fa), sorted_slices(fb))
+    per_slice = [wasserstein1_1d(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]
     return float(np.max(per_slice))
 
 

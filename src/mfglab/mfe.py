@@ -18,7 +18,7 @@ from .controls import ControlField
 from .games import GameSpec
 from .grids import ActionGrid, SpatialGrid, TimeGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
-from .measures import SORTED_METRICS, EmpiricalFlow, check_metric, flow_distance, sorted_distance, sorted_slices
+from .measures import EmpiricalFlow, flow_distance, sorted_distance, sorted_slices
 from .rng import derive_seed, initial_cloud, philox, sample_brownian
 from .sim import simulate_frozen_flow
 
@@ -55,14 +55,12 @@ def picard_mfe(
     game: GameSpec,
     init_flow: EmpiricalFlow,
     *,
-    n_particles: int | None = None,
     damping: float = 0.5,
     tol: float = 0.02,
     max_iter: int = 25,
     seed: int = 0,
     sgrid: SpatialGrid | None = None,
     agrid: ActionGrid | None = None,
-    metric: str = "w1",
     indifference: float = 0.0,
 ) -> PicardResult:
     """Damped best-response iteration on sample flows.
@@ -71,8 +69,10 @@ def picard_mfe(
     the resulting feedback with fresh noise, and replaces a damping fraction
     of the particle paths with fresh ones (path-coherent subsampling, so time
     slices stay coupled); only the round(damping * n) fresh paths that are
-    kept get simulated. The residual is the worst-time distance between
+    kept get simulated. The residual is the worst-time W1 distance between
     consecutive flows; iteration stops at tol or reports non-convergence.
+    The flow must be one-dimensional, and every flow keeps init_flow's
+    particle count.
 
     indifference > 0 treats actions whose dynamic-programming advantage is
     below the threshold as tied and lets the tied set's mean drift pick the
@@ -81,19 +81,18 @@ def picard_mfe(
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
-    check_metric(metric)
-    tgrid = init_flow.grid
-    if n_particles is None:
-        n_particles = init_flow.n_particles
-    if init_flow.n_particles != n_particles:
-        raise ValueError("init flow particle count must match n_particles")
-    n_new = int(round(damping * n_particles))
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if init_flow.dim != 1:
+        raise ValueError(f"picard_mfe needs a one-dimensional flow, got dimension {init_flow.dim}")
+    tgrid, n = init_flow.grid, init_flow.n_particles
+    n_new = int(round(damping * n))
     if n_new == 0:
         # the mixed flow would only reshuffle the old paths, and a residual
         # of 0.0 would report convergence without any iteration
-        raise ValueError(
-            f"damping {damping} keeps no fresh particle of n_particles={n_particles}: round(damping * n_particles) is 0"
-        )
+        raise ValueError(f"damping {damping} keeps no fresh particle of the flow's {n}: round(damping * {n}) is 0")
     if sgrid is None:
         sgrid = stable_spatial_grid(game, tgrid)
     if agrid is None:
@@ -102,8 +101,7 @@ def picard_mfe(
     flow = init_flow
     # the sorted slices of the current flow ride along to the next residual,
     # so each flow is sorted once
-    carry_sorted = metric in SORTED_METRICS and flow.dim == 1
-    flow_sorted = sorted_slices(flow) if carry_sorted and max_iter >= 1 else None
+    flow_sorted = sorted_slices(flow) if max_iter >= 1 else None
     control = None
     residuals: list = []
     endpoints: list = []
@@ -112,25 +110,22 @@ def picard_mfe(
     for k in range(1, max_iter + 1):
         control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference).control
         mixer = philox(derive_seed(seed, "mix", k), 0)
-        take_new = mixer.choice(n_particles, size=n_new, replace=False)
-        take_old = mixer.choice(n_particles, size=n_particles - n_new, replace=False)
+        take_new = mixer.choice(n, size=n_new, replace=False)
+        take_old = mixer.choice(n, size=n - n_new, replace=False)
 
         # fresh particle i is particle take_new[i] of a full fresh cloud: same
         # noise stream, same initial state, and frozen-flow particles never
         # interact, so only the kept ones are simulated
         samples = np.empty(flow.samples.shape)
         bundle = sample_brownian(derive_seed(seed, "picard", k), n_new, tgrid, game.dim, particles=take_new)
-        x0 = initial_cloud(derive_seed(seed, "picard-init", k), n_particles, game.initial.sampler())[take_new]
+        x0 = initial_cloud(derive_seed(seed, "picard-init", k), n, game.initial.sampler())[take_new]
         samples[:, :n_new] = np.swapaxes(simulate_frozen_flow(game, control, flow, bundle, x0).states, 0, 1)
         np.take(flow.samples, take_old, axis=1, out=samples[:, n_new:], mode="clip")
         mixed = EmpiricalFlow(tgrid, samples)
 
-        if carry_sorted:
-            mixed_sorted = sorted_slices(mixed)
-            residuals.append(sorted_distance(flow_sorted, mixed_sorted, metric))
-            flow_sorted = mixed_sorted
-        else:
-            residuals.append(flow_distance(mixed, flow, metric))
+        mixed_sorted = sorted_slices(mixed)
+        residuals.append(sorted_distance(flow_sorted, mixed_sorted))
+        flow_sorted = mixed_sorted
         endpoints.append(float(mixed.mean_path()[-1, 0]))
         log.info("picard iteration %d: residual %.6g, mean endpoint %.6g", k, residuals[-1], endpoints[-1])
         flow = mixed
@@ -150,21 +145,18 @@ def consistency_residual(
     control: ControlField,
     *,
     seed: int = 0,
-    n_particles: int | None = None,
-    metric: str = "w1",
 ) -> float:
-    """Distance between a flow and a fresh cloud played under its own control.
+    """Distance between a flow and a fresh cloud of its size played under its
+    own control.
 
     Zero residual (up to sampling noise) is the fixed-point property; compare
     against same_law_baseline to judge what the noise floor is.
     """
-    check_metric(metric)
-    tgrid = flow.grid
-    n = flow.n_particles if n_particles is None else positive_count(n_particles, "n_particles")
+    tgrid, n = flow.grid, flow.n_particles
     bundle = sample_brownian(derive_seed(seed, "consistency"), n, tgrid, game.dim)
     x0 = initial_cloud(derive_seed(seed, "consistency-init"), n, game.initial.sampler())
     fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
-    return flow_distance(flow, fresh, metric)
+    return flow_distance(flow, fresh)
 
 
 def same_law_baseline(
@@ -173,18 +165,15 @@ def same_law_baseline(
     control: ControlField,
     *,
     seed: int = 0,
-    n_particles: int | None = None,
     reps: int = 3,
-    metric: str = "w1",
 ) -> float:
-    """Average distance between independent same-law clouds under a control.
+    """Average distance between independent same-law clouds of the flow's size
+    under a control.
 
     This is the Monte Carlo resolution limit: a consistency residual cannot
     be expected to fall below it.
     """
-    check_metric(metric)
-    tgrid = flow.grid
-    n = flow.n_particles if n_particles is None else positive_count(n_particles, "n_particles")
+    tgrid, n = flow.grid, flow.n_particles
     reps = positive_count(reps, "reps")
     vals = []
     for r in range(reps):
@@ -193,7 +182,7 @@ def same_law_baseline(
             bundle = sample_brownian(derive_seed(seed, "baseline", r, side), n, tgrid, game.dim)
             x0 = initial_cloud(derive_seed(seed, "baseline-init", r, side), n, game.initial.sampler())
             ens.append(EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0)))
-        vals.append(flow_distance(ens[0], ens[1], metric))
+        vals.append(flow_distance(ens[0], ens[1]))
     return float(np.mean(vals))
 
 

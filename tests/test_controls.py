@@ -4,6 +4,7 @@ import pytest
 from mfglab.controls import FEEDBACK_CATALOG, ControlField, sign_of_mean, sign_of_state
 from mfglab.games import MeasureStats
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
+from mfglab.relaxed import constant_relaxed
 
 
 def _tg(n=10):
@@ -97,6 +98,29 @@ class TestGridFields:
         negative = np.array([[[1.5, -0.5]] * 3] * 2)
         with pytest.raises(ValueError):
             ControlField.relaxed(tg, sg, ag, negative)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ([np.nan, 0.5, 0.5], "nonnegative, and not NaN"),
+            ([0.5, 0.5, np.nan], "nonnegative, and not NaN"),
+            ([np.inf, 0.5, 0.5], "sum to 1"),
+            ([-np.inf, 0.5, 0.5], "nonnegative"),
+        ],
+        ids=["nan_first", "nan_last", "inf", "minus_inf"],
+    )
+    def test_relaxed_rows_with_nan_or_inf_are_refused(self, row, message):
+        # a NaN row that passed would make strict selection pick the lowest
+        # atom for its step
+        tg = _tg(4)
+        ag = ActionGrid([-1.0], [1.0], 3)
+        probs = np.tile([0.2, 0.3, 0.5], (4, 1))
+        probs[1] = row
+        with pytest.raises(ValueError, match=message):
+            constant_relaxed(tg, ag, probs)
+        sg = SpatialGrid(np.array([0.0]), np.array([1.0]), 3)
+        with pytest.raises(ValueError, match=message):
+            ControlField.relaxed(tg, sg, ag, np.broadcast_to(probs[:, None, :], (4, 3, 3)))
 
     def test_probabilities_rejects_pure(self):
         tg = _tg(2)

@@ -71,6 +71,23 @@ class TestSpatialGrid:
         with pytest.raises(ValueError):
             SpatialGrid(np.array([0.0]), np.array([1.0]), 2)
 
+    @pytest.mark.parametrize("lo,hi,name", [([0.0], [np.inf], "hi"), ([-np.inf], [1.0], "lo"), ([0.0, np.nan], [1.0, 1.0], "lo")],
+                             ids=["inf_hi", "minus_inf_lo", "nan_lo"])
+    def test_refuses_non_finite_bounds_by_name(self, lo, hi, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SpatialGrid(lo, hi, 3)
+
+    @pytest.mark.parametrize("bad,message", [(3.5, "n_nodes must be an int"), (True, "n_nodes must be an int"),
+                                             (2, "n_nodes must be at least 3"), (0, "n_nodes must be at least 1")])
+    def test_refuses_bad_node_counts_by_name(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SpatialGrid([0.0], [1.0], bad)
+
+    def test_stores_an_int_node_count(self):
+        sg = SpatialGrid([0.0], [1.0], np.int64(3))
+        assert type(sg.n_nodes) is int
+        assert np.array_equal(sg.axes[0], [0.0, 0.5, 1.0])
+
 
 class TestActionGrid:
     def test_atom_layout_1d(self):
@@ -93,3 +110,19 @@ class TestActionGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ActionGrid(np.array([0.0]), np.array([1.0]), 0)
+
+    @pytest.mark.parametrize("lo,hi,name", [([-1.0], [np.inf], "hi"), ([np.nan], [1.0], "lo")], ids=["inf_hi", "nan_lo"])
+    def test_refuses_non_finite_bounds_by_name(self, lo, hi, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ActionGrid(lo, hi, 3)
+
+    @pytest.mark.parametrize("bad,message", [(2.5, "n_per_axis must be an int"), (False, "n_per_axis must be an int"),
+                                             (-1, "n_per_axis must be at least 1")])
+    def test_refuses_bad_atom_counts_by_name(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ActionGrid([-1.0], [1.0], bad)
+
+    def test_stores_an_int_atom_count(self):
+        ag = ActionGrid([-1.0], [1.0], np.int64(3))
+        assert type(ag.n_per_axis) is int
+        assert np.array_equal(ag.atoms[:, 0], [-1.0, 0.0, 1.0])

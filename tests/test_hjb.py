@@ -205,6 +205,14 @@ class TestCfl:
             solve_hjb(game, _ramp_flow(tg), sg, default_action_grid(game))
         assert "dt" in str(err.value)
 
+    def test_nan_limit_is_refused(self):
+        # a NaN drift bound gives a NaN limit (an infinite box would too, but
+        # SpatialGrid refuses one by name)
+        sg = SpatialGrid(np.array([-8.0]), np.array([8.0]), 40)
+        assert np.isnan(cfl_limit(sg, float("nan")))
+        with pytest.raises(CFLError, match="stability limit nan"):
+            check_cfl(TimeGrid(1.0, 2000), sg, float("nan"))
+
     def test_check_cfl_passes_when_stable(self):
         sg = SpatialGrid(np.array([-8.0]), np.array([8.0]), 40)
         check_cfl(TimeGrid(1.0, 2000), sg, 1.0)

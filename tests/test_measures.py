@@ -1,6 +1,3 @@
-import math
-import re
-
 import numpy as np
 import pytest
 
@@ -10,16 +7,12 @@ from mfglab.measures import (
     EmpiricalFlow,
     _merged_quantiles,
     _quantile_ladder,
-    auto_bin_edges,
-    check_metric,
     flow_distance,
     sliced_directions,
     sliced_wasserstein1,
     sorted_distance,
     sorted_slices,
-    tv_binned,
     wasserstein1_1d,
-    wasserstein_trunc,
 )
 from mfglab.rng import sample_brownian
 from mfglab.sim import integrate_paths
@@ -82,58 +75,6 @@ class TestWasserstein1:
             assert dab == dba
             assert dab >= 0.0
             assert dab <= wasserstein1_1d(a, c) + wasserstein1_1d(c, b) + 1e-12
-
-
-class TestWassersteinTrunc:
-    def test_trivial_values(self):
-        assert wasserstein_trunc(np.zeros(4), np.zeros(4)) == 0.0
-        assert wasserstein_trunc(np.zeros(4), np.full(4, 3.0)) == 1.0
-        assert np.isclose(wasserstein_trunc(np.zeros(4), np.full(4, 0.25)), 0.25)
-
-    def test_dominated_by_plain_w1_and_capped(self):
-        gen = np.random.default_rng(5)
-        for _ in range(50):
-            a, b = gen.normal(size=20), gen.normal(gen.normal(), 2.0, size=20)
-            t = wasserstein_trunc(a, b)
-            assert t <= 1.0
-            assert t <= wasserstein1_1d(a, b) + 1e-12
-
-
-class TestTvBinned:
-    def test_identical_zero_and_disjoint_one(self):
-        gen = np.random.default_rng(0)
-        a = gen.normal(size=1000)
-        assert tv_binned(a, a.copy()) == 0.0
-        assert np.isclose(tv_binned(np.zeros(100), np.full(100, 50.0)), 1.0)
-
-    def test_gaussian_shift_oracle(self):
-        # TV between N(0,1) and N(1/2,1) has closed form erf(1/(4 sqrt: 0.25/sqrt2))
-        true_tv = math.erf(0.25 / math.sqrt(2.0))
-        gen = np.random.default_rng(1)
-        a = gen.normal(0.0, 1.0, 200000)
-        b = gen.normal(0.5, 1.0, 200000)
-        assert abs(tv_binned(a, b, bins=100) - true_tv) < 0.01
-
-    def test_permutation_invariance(self):
-        gen = np.random.default_rng(2)
-        a, b = gen.normal(size=500), gen.normal(1.0, size=500)
-        perm = gen.permutation(500)
-        assert tv_binned(a, b) == tv_binned(a[perm], b[perm])
-
-    def test_explicit_edges_count_out_of_range_mass(self):
-        edges = np.linspace(-1.0, 1.0, 11)
-        a = np.zeros(10)
-        b = np.full(10, 5.0)  # entirely outside the edges
-        assert tv_binned(a, b, bins=edges) == 1.0
-
-
-class TestAutoBinEdges:
-    def test_covers_union_with_padding(self):
-        edges = auto_bin_edges(np.array([0.0, 1.0]), np.array([2.0, 3.0]), n_bins=10)
-        assert edges[0] < 0.0
-        assert edges[-1] > 3.0
-        widths = np.diff(edges)
-        assert np.allclose(widths, widths[0])
 
 
 class TestSliced:
@@ -245,22 +186,11 @@ def _old_w1(a, b):
     return float(np.sum(w * np.abs(qa - qb)))
 
 
-def _old_w1_trunc(a, b):
-    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
-    if a.size == b.size:
-        return float(np.mean(np.minimum(1.0, np.abs(np.sort(a) - np.sort(b)))))
-    qa, qb, w = _old_merged_quantiles(a, b)
-    return float(np.sum(w * np.minimum(1.0, np.abs(qa - qb))))
-
-
-def _old_flow_distance(fa, fb, metric="w1"):
-    if metric in ("w1", "w1_trunc") and fa.dim == 1 and fa.n_particles == fb.n_particles:
+def _old_flow_distance(fa, fb):
+    if fa.n_particles == fb.n_particles:
         per_slice = np.abs(np.sort(fa.samples[:, :, 0], axis=1) - np.sort(fb.samples[:, :, 0], axis=1))
-        if metric == "w1_trunc":
-            per_slice = np.minimum(1.0, per_slice)
         return float(per_slice.mean(axis=1).max())
-    dist = {"w1": _old_w1, "w1_trunc": _old_w1_trunc, "tv": tv_binned}[metric]
-    return float(np.max([dist(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]))
+    return float(np.max([_old_w1(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]))
 
 
 def _spread_flow(n, seed, scale=1.0, steps=30):
@@ -280,7 +210,6 @@ class TestQuantileLadder:
             for new, old in zip(_merged_quantiles(a, b), _old_merged_quantiles(a, b)):
                 assert np.array_equal(new, old)
             assert wasserstein1_1d(a, b) == _old_w1(a, b)
-            assert wasserstein_trunc(a, b) == _old_w1_trunc(a, b)
 
     def test_ladder_is_built_once_and_shared_read_only(self):
         _quantile_ladder.cache_clear()
@@ -301,43 +230,38 @@ class TestQuantileLadder:
 
 
 class TestSortedSlices:
-    @pytest.mark.parametrize("metric", ["w1", "w1_trunc"])
-    def test_sorted_distance_keeps_flow_distance_bits(self, metric):
+    def test_sorted_distance_keeps_flow_distance_bits(self):
         fa, fb = _spread_flow(301, 1), _spread_flow(301, 2, scale=1.7)
-        expect = _old_flow_distance(fa, fb, metric)
-        assert flow_distance(fa, fb, metric) == expect
+        expect = _old_flow_distance(fa, fb)
+        assert flow_distance(fa, fb) == expect
         sa, sb = sorted_slices(fa), sorted_slices(fb)
         assert np.array_equal(sa, np.sort(fa.samples[:, :, 0], axis=1))
         keep = sa.copy()
         # symmetric bit for bit, and only the consumed stack is overwritten
-        assert sorted_distance(sb, sa, metric) == expect
+        assert sorted_distance(sb, sa) == expect
         assert np.array_equal(sa, keep)
-        assert sorted_distance(sa, sorted_slices(fb), metric) == expect
+        assert sorted_distance(sa, sorted_slices(fb)) == expect
 
-    @pytest.mark.parametrize("metric", ["w1", "w1_trunc", "tv"])
-    def test_other_paths_keep_flow_distance_bits(self, metric):
+    def test_other_paths_keep_flow_distance_bits(self):
         unequal = (_spread_flow(200, 3), _spread_flow(77, 4, scale=0.5))
         equal = (_spread_flow(90, 5), _spread_flow(90, 6, scale=3.0))
         for fa, fb in (unequal, equal):
-            assert flow_distance(fa, fb, metric) == _old_flow_distance(fa, fb, metric)
+            assert flow_distance(fa, fb) == _old_flow_distance(fa, fb)
 
     def test_sorted_slices_need_one_dimensional_flows(self):
         flow = EmpiricalFlow(TimeGrid(1.0, 3), np.zeros((4, 5, 2)))
         with pytest.raises(ValueError, match="one-dimensional"):
             sorted_slices(flow)
 
-    def test_sorted_distance_refuses_other_metrics_and_shapes(self):
-        with pytest.raises(KeyError, match="tv"):
-            sorted_distance(np.zeros((3, 4)), np.zeros((3, 4)), "tv")
+    def test_sorted_distance_refuses_unequal_shapes(self):
         with pytest.raises(ValueError, match="share a shape"):
             sorted_distance(np.zeros((3, 4)), np.zeros((3, 5)))
 
-    def test_unknown_metric_message(self):
-        f = _spread_flow(10, 7)
-        expect = "unknown metric 'bogus'; choose from ['tv', 'w1', 'w1_trunc', 'sliced_w1']"
-        with pytest.raises(KeyError, match=re.escape(expect)):
-            check_metric("bogus")
-        with pytest.raises(KeyError, match=re.escape(expect)):
-            flow_distance(f, f, "bogus")
-        for metric in ("w1", "w1_trunc", "tv", "sliced_w1"):
-            check_metric(metric)
+    @pytest.mark.parametrize("n_other", [5, 8])
+    def test_flow_distance_refuses_a_two_dimensional_flow(self, n_other):
+        tg = TimeGrid(1.0, 3)
+        flat, plane = EmpiricalFlow(tg, np.zeros((4, 5, 1))), EmpiricalFlow(tg, np.zeros((4, n_other, 2)))
+        for fa, fb in ((flat, plane), (plane, flat), (plane, plane)):
+            with pytest.raises(ValueError, match=r"flow_distance needs one-dimensional flows, got dimensions \d and \d") as err:
+                flow_distance(fa, fb)
+            assert f"{fa.dim} and {fb.dim}" in str(err.value)

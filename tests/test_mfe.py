@@ -86,7 +86,7 @@ def _as_built(grid, samples):
     return flow
 
 
-def _picard_oracle(game, init_flow, *, damping, tol, max_iter, seed, metric, indifference):
+def _picard_oracle(game, init_flow, *, damping, tol, max_iter, seed, indifference):
     """The damped loop as it was before the mix simulated only the kept
     particles: a full fresh cloud each iteration, mixed by concatenating
     fancy-indexed gathers (which leaves the flow particle-major)."""
@@ -103,7 +103,7 @@ def _picard_oracle(game, init_flow, *, damping, tol, max_iter, seed, metric, ind
         take_new = mixer.choice(n, size=n_new, replace=False)
         take_old = mixer.choice(n, size=n - n_new, replace=False)
         mixed = _as_built(tgrid, np.concatenate([fresh.samples[:, take_new, :], flow.samples[:, take_old, :]], axis=1))
-        residuals.append(flow_distance(mixed, flow, metric))
+        residuals.append(flow_distance(mixed, flow))
         endpoints.append(float(mixed.mean_path()[-1, 0]))
         flow = mixed
         if residuals[-1] <= tol:
@@ -121,7 +121,7 @@ class TestPicardMix:
     TG = TimeGrid(1.0, 40)
 
     def _compare(self, game, init, **kw):
-        kw = {"damping": 0.5, "tol": 0.0, "max_iter": 3, "seed": 57, "metric": "w1", "indifference": 0.0, **kw}
+        kw = {"damping": 0.5, "tol": 0.0, "max_iter": 3, "seed": 57, "indifference": 0.0, **kw}
         flow, control, residuals, endpoints = _picard_oracle(game, init, **kw)
         res = picard_mfe(game, init, **kw)
         assert np.array_equal(res.flow.samples, flow.samples)
@@ -135,10 +135,9 @@ class TestPicardMix:
         return res
 
     @pytest.mark.parametrize("damping", [0.3, 0.5, 1.0])
-    @pytest.mark.parametrize("metric", ["w1", "w1_trunc", "tv"])
-    def test_flows_and_controls_match_the_full_simulation(self, damping, metric):
+    def test_flows_and_controls_match_the_full_simulation(self, damping):
         game = _spread(monotone_lq())
-        self._compare(game, _ramp_init(game, self.TG, 0.5, n=301), damping=damping, metric=metric)
+        self._compare(game, _ramp_init(game, self.TG, 0.5, n=301), damping=damping)
 
     @pytest.mark.parametrize("damping", [0.3, 1.0])
     def test_indifference_matches_the_full_simulation(self, damping):
@@ -173,10 +172,10 @@ class TestPicardMix:
         monkeypatch.setattr(mfe, "solve_hjb", no_solve)
         game = _spread(monotone_lq())
         init = _ramp_init(game, self.TG, 0.5, n=4)
-        with pytest.raises(ValueError, match=r"damping 0\.1 keeps no fresh particle of n_particles=4"):
+        with pytest.raises(ValueError, match=r"damping 0\.1 keeps no fresh particle of the flow's 4"):
             picard_mfe(game, init, damping=0.1)
-        with pytest.raises(ValueError, match=r"damping 0\.12 keeps no fresh particle of n_particles=4"):
-            picard_mfe(game, init, damping=0.12, n_particles=4)
+        with pytest.raises(ValueError, match=r"damping 0\.12 keeps no fresh particle of the flow's 4"):
+            picard_mfe(game, init, damping=0.12)
 
     def test_full_damping_keeps_nothing_old(self):
         game = _spread(monotone_lq())
@@ -227,31 +226,12 @@ class TestConsistency:
         assert b_big > 0.0
         assert b_big < b_small
 
-    @pytest.mark.parametrize("bad", [0, -3, True, 2.5])
-    def test_refuses_bad_particle_counts(self, bad):
-        game = sign_drift()
-        tg = TimeGrid(1.0, 10)
-        flow = _ramp_init(game, tg, 0.0, n=16)
-        ctrl = ControlField.constant(tg, 0.0)
-        with pytest.raises(ValueError, match="n_particles"):
-            consistency_residual(game, flow, ctrl, n_particles=bad)
-        with pytest.raises(ValueError, match="n_particles"):
-            same_law_baseline(game, flow, ctrl, n_particles=bad)
-
     @pytest.mark.parametrize("bad", [0, -1, False, 1.0])
     def test_baseline_refuses_bad_reps(self, bad):
         game = sign_drift()
         tg = TimeGrid(1.0, 10)
         with pytest.raises(ValueError, match="reps"):
             same_law_baseline(game, _ramp_init(game, tg, 0.0, n=16), ControlField.constant(tg, 0.0), reps=bad)
-
-    def test_explicit_particle_count_is_used(self):
-        game = sign_drift()
-        tg = TimeGrid(1.0, 10)
-        flow = _ramp_init(game, tg, 0.0, n=16)
-        ctrl = ControlField.constant(tg, 0.0)
-        assert consistency_residual(game, flow, ctrl, n_particles=np.int64(5)) != consistency_residual(game, flow, ctrl)
-        assert same_law_baseline(game, flow, ctrl, n_particles=5, reps=1) > 0.0
 
 
 class TestMonotonicity:
@@ -292,21 +272,19 @@ class TestMonotonicity:
 class TestPicardSortsOnce:
     TG = TimeGrid(1.0, 40)
 
-    @pytest.mark.parametrize("metric", ["w1", "w1_trunc", "tv"])
-    def test_residuals_keep_the_flow_distance_bits(self, metric):
+    def test_residuals_keep_the_flow_distance_bits(self):
         # the flow after k iterations does not depend on max_iter, so runs
         # stopped after 0..3 iterations give every consecutive pair
         game = _spread(monotone_lq())
         init = _ramp_init(game, self.TG, 0.5, n=301)
-        kw = {"damping": 0.5, "tol": 0.0, "seed": 9, "metric": metric}
+        kw = {"damping": 0.5, "tol": 0.0, "seed": 9}
         flows = [picard_mfe(game, init, max_iter=k, **kw).flow for k in range(4)]
         res = picard_mfe(game, init, max_iter=3, **kw)
-        assert res.residuals == [flow_distance(flows[k], flows[k - 1], metric) for k in (1, 2, 3)]
+        assert res.residuals == [flow_distance(flows[k], flows[k - 1]) for k in (1, 2, 3)]
         assert res.mean_endpoints == [float(flows[k].mean_path()[-1, 0]) for k in (1, 2, 3)]
         assert np.array_equal(res.flow.samples, flows[3].samples)
 
-    @pytest.mark.parametrize("metric,sorts", [("w1", 4), ("w1_trunc", 4), ("tv", 0)])
-    def test_each_flow_is_sorted_once(self, metric, sorts, monkeypatch):
+    def test_each_flow_is_sorted_once(self, monkeypatch):
         sorted_shapes = []
         real_sort = np.sort
 
@@ -317,11 +295,10 @@ class TestPicardSortsOnce:
         game = _spread(monotone_lq())
         init = _ramp_init(game, self.TG, 0.5, n=101)
         monkeypatch.setattr(np, "sort", counting)
-        res = picard_mfe(game, init, damping=0.5, tol=0.0, max_iter=3, seed=9, metric=metric)
+        res = picard_mfe(game, init, damping=0.5, tol=0.0, max_iter=3, seed=9)
         assert res.iterations == 3
-        # tv's histograms sort single slices inside numpy; only whole-flow
-        # stacks count here
-        assert [s for s in sorted_shapes if len(s) == 2] == [(self.TG.n_steps + 1, 101)] * sorts
+        # only whole-flow stacks count here
+        assert [s for s in sorted_shapes if len(s) == 2] == [(self.TG.n_steps + 1, 101)] * 4
 
     def test_no_iteration_sorts_nothing(self, monkeypatch):
         def no_sort(*args, **kwargs):
@@ -334,36 +311,41 @@ class TestPicardSortsOnce:
         assert res.residuals == [] and res.flow is init
 
 
-class TestUnknownMetricFailsEarly:
-    MESSAGE = "unknown metric 'bogus'; choose from ['tv', 'w1', 'w1_trunc', 'sliced_w1']"
+class TestPicardRefusesEarly:
+    """Bad input to picard_mfe is refused by name before any solve or draw."""
 
     @staticmethod
     def _nothing_runs(monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("the metric must be checked before any solve or draw")
+            raise AssertionError("the input must be checked before any solve or draw")
 
         for name in ("solve_hjb", "sample_brownian", "simulate_frozen_flow"):
             monkeypatch.setattr(mfe, name, unreachable)
 
-    def test_picard(self, monkeypatch):
-        game = _spread(monotone_lq())
+    @pytest.mark.parametrize("max_iter", [0, 3])
+    def test_two_dimensional_flow(self, max_iter, monkeypatch):
+        init = EmpiricalFlow(TimeGrid(1.0, 10), np.zeros((11, 16, 2)))
+        self._nothing_runs(monkeypatch)
+        with pytest.raises(ValueError, match="picard_mfe needs a one-dimensional flow, got dimension 2"):
+            picard_mfe(monotone_lq(), init, max_iter=max_iter)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, "3", None])
+    def test_bad_max_iter(self, bad, monkeypatch):
+        init = _ramp_init(monotone_lq(), TimeGrid(1.0, 10), 0.5, n=16)
+        self._nothing_runs(monkeypatch)
+        with pytest.raises(ValueError, match=r"max_iter must be an int >= 0, got " + re.escape(repr(bad))):
+            picard_mfe(monotone_lq(), init, max_iter=bad)
+
+    @pytest.mark.parametrize("bad", [-0.01, float("nan"), -np.inf])
+    def test_bad_tol(self, bad, monkeypatch):
+        init = _ramp_init(monotone_lq(), TimeGrid(1.0, 10), 0.5, n=16)
+        self._nothing_runs(monkeypatch)
+        with pytest.raises(ValueError, match=r"tol must be >= 0, got " + re.escape(repr(bad))):
+            picard_mfe(monotone_lq(), init, tol=bad)
+
+    def test_edge_values_stay_valid(self):
+        game = monotone_lq()
         init = _ramp_init(game, TimeGrid(1.0, 10), 0.5, n=16)
-        self._nothing_runs(monkeypatch)
-        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
-            picard_mfe(game, init, metric="bogus")
-
-    def test_consistency_and_baseline(self, monkeypatch):
-        game = sign_drift()
-        tg = TimeGrid(1.0, 10)
-        flow = _ramp_init(game, tg, 0.0, n=16)
-        ctrl = ControlField.constant(tg, 0.0)
-        self._nothing_runs(monkeypatch)
-        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
-            consistency_residual(game, flow, ctrl, metric="bogus")
-        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
-            same_law_baseline(game, flow, ctrl, metric="bogus")
-
-    def test_message_matches_flow_distance(self):
-        flow = _ramp_init(sign_drift(), TimeGrid(1.0, 10), 0.0, n=16)
-        with pytest.raises(KeyError, match=re.escape(self.MESSAGE)):
-            flow_distance(flow, flow, "bogus")
+        assert picard_mfe(game, init, max_iter=0).iterations == 0
+        assert picard_mfe(game, init, max_iter=np.int64(1), tol=0.0).iterations == 1
+        assert picard_mfe(game, init, max_iter=1, tol=np.inf).converged

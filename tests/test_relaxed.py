@@ -248,10 +248,10 @@ class TestChatteringMatchesRowLoop:
             chattering_approximation(rel, 4)
 
     def test_nan_row_is_refused(self):
-        # the relaxed field's own row-sum check lets a NaN row through
-        rows = np.tile([0.2, 0.3, 0.5], (2, 1))
-        rows[1] = [np.nan, 0.5, 0.5]
-        rel = constant_relaxed(TimeGrid(1.0, 2), _three_atoms(), rows)
+        # the field refuses a NaN row on construction; chattering checks the
+        # rows again, so one written in afterwards is refused too
+        rel = constant_relaxed(TimeGrid(1.0, 2), _three_atoms(), np.tile([0.2, 0.3, 0.5], (2, 1)))
+        rel.values[1, 1] = [np.nan, 0.5, 0.5]
         with pytest.raises(ValueError, match="probability vector"):
             chattering_approximation(rel, 4)
         with pytest.raises(ValueError, match="probability vector"):
