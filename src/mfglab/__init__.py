@@ -7,7 +7,7 @@ single-player deviations, drift projection onto marginals, and relaxed
 control approximation, plus reproducible scenario drivers and a CLI.
 """
 
-from .controls import FEEDBACK_CATALOG, ControlField, sign_of_mean, sign_of_state
+from .controls import ControlField, sign_of_mean, sign_of_state
 from .games import (
     GAME_CATALOG,
     GameSpec,
@@ -16,7 +16,6 @@ from .games import (
     make_game,
     mean_drift,
     monotone_lq,
-    register_game,
     sign_drift,
 )
 from .grids import ActionGrid, SpatialGrid, TimeGrid
@@ -46,8 +45,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionGrid", "BrownianBundle", "CFLError", "ControlField", "DeterministicFlow",
-    "DriftTable", "EmpiricalFlow", "ExploitabilityResult", "FEEDBACK_CATALOG",
-    "GAME_CATALOG", "GameSpec", "GirsanovWeights", "InitialLaw", "MeasureStats",
+    "DriftTable", "EmpiricalFlow", "ExploitabilityResult", "GAME_CATALOG",
+    "GameSpec", "GirsanovWeights", "InitialLaw", "MeasureStats",
     "ParticleEnsemble", "PicardResult", "SCENARIOS", "ScenarioReport", "SpatialGrid",
     "TimeGrid", "ValueField", "averaged_deviation_weight", "candidate_flow",
     "cfl_limit", "chattering_approximation", "check_monotonicity", "constant_relaxed",
@@ -56,8 +55,8 @@ __all__ = [
     "girsanov_weights", "initial_cloud", "integrate_paths", "make_game",
     "mean_drift", "mimic_and_compare", "monotone_lq", "occupation_w1",
     "path_autocovariance", "path_payoffs", "picard_mfe", "project_drift",
-    "register_game", "reweighted_statistic", "run_mean_drift",
-    "run_monotone_uniqueness", "run_sign_drift", "same_law_baseline",
+    "reweighted_statistic", "run_mean_drift", "run_monotone_uniqueness",
+    "run_sign_drift", "same_law_baseline",
     "sample_brownian", "sign_drift", "sign_of_mean", "sign_of_state",
     "simulate_frozen_flow", "simulate_nplayer", "sliced_wasserstein1",
     "solve_hjb", "stable_spatial_grid", "strict_selection", "wasserstein1_1d",

@@ -117,9 +117,3 @@ def sign_of_state(tgrid: TimeGrid, start: float = 0.0) -> ControlField:
 
     return ControlField.analytic(tgrid, func, name=f"sign_of_state[start={start}]")
 
-
-FEEDBACK_CATALOG: dict = {
-    "constant": ControlField.constant,
-    "sign_of_mean": sign_of_mean,
-    "sign_of_state": sign_of_state,
-}

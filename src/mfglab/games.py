@@ -401,13 +401,6 @@ GAME_CATALOG: dict = {
 }
 
 
-def register_game(name: str, factory: Callable) -> None:
-    """Add a custom GameSpec factory to the catalog."""
-    if name in GAME_CATALOG:
-        raise ValueError(f"game {name!r} already registered")
-    GAME_CATALOG[name] = factory
-
-
 def make_game(name: str, **params) -> GameSpec:
     if name not in GAME_CATALOG:
         raise KeyError(f"unknown game {name!r}; catalog has {sorted(GAME_CATALOG)}")

@@ -65,9 +65,9 @@ def stable_spatial_grid(game: GameSpec, tgrid: TimeGrid, max_nodes: int = 2001) 
     return grid
 
 
-def default_action_grid(game: GameSpec, n_per_axis: int = 5) -> ActionGrid:
-    if np.allclose(game.action_lo, game.action_hi):
-        return ActionGrid(game.action_lo, game.action_hi, 1)
+def default_action_grid(game: GameSpec) -> ActionGrid:
+    """Five atoms per axis of the game's action box, or one for a point box."""
+    n_per_axis = 1 if np.allclose(game.action_lo, game.action_hi) else 5
     return ActionGrid(game.action_lo, game.action_hi, n_per_axis)
 
 

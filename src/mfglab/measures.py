@@ -73,25 +73,19 @@ class EmpiricalFlow:
 class DeterministicFlow:
     """A flow known only through exact summary statistics, no samples.
 
-    Useful as a frozen target with a prescribed mean path; variance defaults
-    to that of a standard Brownian motion started at a point.
+    Useful as a frozen target with a prescribed mean path; the variance at
+    time t is t, that of a standard Brownian motion started at a point.
     """
 
-    def __init__(self, grid: TimeGrid, mean_path: np.ndarray, var_path: np.ndarray | None = None):
+    def __init__(self, grid: TimeGrid, mean_path: np.ndarray):
         mean_path = np.asarray(mean_path, dtype=float)
         if mean_path.ndim == 1:
             mean_path = mean_path[:, None]
         if mean_path.shape[0] != grid.n_steps + 1:
             raise ValueError(f"mean path needs {grid.n_steps + 1} nodes, got {mean_path.shape[0]}")
-        if var_path is None:
-            var_path = np.tile(grid.times[:, None], (1, mean_path.shape[1]))
-        else:
-            var_path = np.asarray(var_path, dtype=float)
-            if var_path.ndim == 1:
-                var_path = var_path[:, None]
         self.grid = grid
         self._mean = mean_path
-        self._var = var_path
+        self._var = np.tile(grid.times[:, None], (1, mean_path.shape[1]))
 
     @property
     def dim(self) -> int:
@@ -159,23 +153,20 @@ def wasserstein1_1d(a, b) -> float:
     return float(np.sum(w * np.abs(qa - qb)))
 
 
-def sliced_directions(dim: int, n_directions: int = 32, seed: int = 0) -> np.ndarray:
-    """Fixed seeded unit vectors used by the sliced distance, (n_directions, dim)."""
-    v = philox(seed, dim).standard_normal((n_directions, dim))
+def sliced_directions(dim: int) -> np.ndarray:
+    """The 32 fixed unit vectors of the sliced distance, (32, dim), drawn from
+    the seed-0 Philox stream of dim."""
+    v = philox(0, dim).standard_normal((32, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def sliced_wasserstein1(a, b, n_directions: int = 32, seed: int = 0):
-    """Average 1-d Wasserstein distance over fixed random directions.
-
-    Returns (value, n_directions) so reports can carry the direction count.
-    """
+def sliced_wasserstein1(a, b) -> float:
+    """Average 1-d Wasserstein distance over the fixed sliced_directions."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("expected (n, d) clouds of equal dimension")
-    dirs = sliced_directions(a.shape[1], n_directions, seed)
-    vals = [wasserstein1_1d(a @ u, b @ u) for u in dirs]
-    return float(np.mean(vals)), n_directions
+    vals = [wasserstein1_1d(a @ u, b @ u) for u in sliced_directions(a.shape[1])]
+    return float(np.mean(vals))
 
 
 def sorted_slices(flow: EmpiricalFlow) -> np.ndarray:
@@ -213,11 +204,3 @@ def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow) -> float:
     per_slice = [wasserstein1_1d(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]
     return float(np.max(per_slice))
 
-
-FLOW_FUNCTIONALS: dict = {
-    "mean_T": lambda flow: float(flow.mean_path()[-1, 0]),
-    "abs_mean_T": lambda flow: float(abs(flow.mean_path()[-1, 0])),
-    "mean_T_sq": lambda flow: float(flow.mean_path()[-1, 0] ** 2),
-    "sign_mean_T": lambda flow: float(flow.mean_path()[-1, 0] > 0),
-    "sup_abs_mean": lambda flow: float(np.abs(flow.mean_path()[:, 0]).max()),
-}

@@ -226,6 +226,9 @@ def check_monotonicity(game: GameSpec, *, trials: int = 200, n_samples: int = 40
     margin cannot mask the other part's. worst_margin is the largest margin
     over the rows kept, and 0.0 when every row is skipped.
     """
+    trials, n_samples = positive_count(trials, "trials"), positive_count(n_samples, "n_samples")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if game.running_split is None:
         raise ValueError("monotonicity check needs a game with a separable running reward")
     f1, _ = game.running_split

@@ -28,7 +28,7 @@ from .controls import ControlField
 from .games import GameSpec, MeasureStats
 from .grids import ActionGrid, SpatialGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
-from .measures import FLOW_FUNCTIONALS, EmpiricalFlow
+from .measures import EmpiricalFlow
 from .sim import (
     ParticleEnsemble,
     _feedback_groups,
@@ -116,13 +116,13 @@ def averaged_deviation_weight(game: GameSpec, ensemble: ParticleEnsemble, flow, 
 def reweighted_statistic(weights: GirsanovWeights, ensemble: ParticleEnsemble, h):
     """Average of zeta_T * h(empirical flow) over players.
 
-    h may be a FLOW_FUNCTIONALS name or a callable on flows. Returns
-    (value, spread) where spread is the across-player standard error treated
-    as exchangeable; players are correlated through the common flow, so the
-    spread is a resolution indicator rather than a strict confidence radius.
+    h is a callable on flows. Returns (value, spread) where spread is the
+    across-player standard error treated as exchangeable; players are
+    correlated through the common flow, so the spread is a resolution
+    indicator rather than a strict confidence radius.
     """
-    if isinstance(h, str):
-        h = FLOW_FUNCTIONALS[h]
+    if not callable(h):
+        raise ValueError(f"h must be a callable on flows, got {h!r}")
     hv = float(h(EmpiricalFlow.from_ensemble(ensemble)))
     vals = weights.terminal * hv
     n = vals.shape[0]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import positive_count
 from .measures import EmpiricalFlow, wasserstein1_1d
 from .rng import BrownianBundle
 from .sim import ParticleEnsemble, integrate_paths
@@ -84,19 +85,20 @@ class DriftTable:
         return self.values[j, self.bin_of(x[:, 0]), :]
 
 
-def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30, drifts: np.ndarray | None = None) -> DriftTable:
-    """Bin-average realized drifts into a Markovian drift table.
+def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -> DriftTable:
+    """Bin-average the ensemble's realized drifts into a Markovian drift table.
 
-    bins is an integer count (equal-width over the pooled state range) or an
-    explicit edge array. Bins holding fewer than min_count particles fall
+    bins is a positive int count (equal-width over the pooled state range) or
+    an explicit edge array. Bins holding fewer than min_count particles fall
     back to the time-slice mean drift and are flagged; that keeps the table
     bounded by the data and conserves the slice totals wherever no fallback
     fires.
     """
+    drifts = ensemble.drifts
     if drifts is None:
-        drifts = ensemble.drifts
-    if drifts is None:
-        raise ValueError("ensemble carries no drift samples; pass drifts explicitly")
+        raise ValueError("ensemble carries no drift samples")
+    if isinstance(min_count, bool) or not isinstance(min_count, (int, np.integer)) or min_count < 0:
+        raise ValueError(f"min_count must be an int >= 0, got {min_count!r}")
     if ensemble.dim != 1:
         raise ValueError("drift projection is implemented for one-dimensional states")
     n, M = ensemble.n, ensemble.grid.n_steps
@@ -105,10 +107,11 @@ def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30, d
 
     x = ensemble.states[:, :M, 0]  # states at step starts
     if np.isscalar(bins):
+        bins = positive_count(bins, "bins")
         lo, hi = float(x.min()), float(x.max())
         if hi <= lo:
             hi = lo + 1.0
-        edges = np.linspace(lo, hi, int(bins) + 1)
+        edges = np.linspace(lo, hi, bins + 1)
     else:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):

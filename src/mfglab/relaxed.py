@@ -23,6 +23,8 @@ from .grids import ActionGrid, SpatialGrid, TimeGrid, positive_count
 from .measures import sliced_wasserstein1
 from .sim import coefficient_table
 
+_MATCH_TOL = 1e-9  # strict selection's drift-matching tolerance
+
 
 def constant_relaxed(tgrid: TimeGrid, agrid: ActionGrid, probs, name: str = "") -> ControlField:
     """Spatially constant relaxed field from per-step probability rows (M, n_atoms)."""
@@ -121,8 +123,9 @@ def occupation_samples(field: ControlField, x=None) -> np.ndarray:
     return np.column_stack([ts, a])
 
 
-def occupation_w1(pure: ControlField, relaxed: ControlField, x=None, *, target_level: int = 256, n_directions: int = 32, seed: int = 0) -> float:
-    """Sliced W1 between a pure field's (t, a) samples and the relaxed target.
+def occupation_w1(pure: ControlField, relaxed: ControlField, x=None, *, target_level: int = 256) -> float:
+    """Sliced W1 (measures.sliced_wasserstein1) between a pure field's (t, a)
+    samples and the relaxed target.
 
     The relaxed occupation measure dt Lambda_t(da) is represented by a
     chattering expansion at a level far finer than any level under study, so
@@ -136,8 +139,7 @@ def occupation_w1(pure: ControlField, relaxed: ControlField, x=None, *, target_l
         reference = chattering_approximation(relaxed, target_level)
     sample_p = occupation_samples(pure, x)
     sample_r = occupation_samples(reference, x)
-    value, _ = sliced_wasserstein1(sample_p, sample_r, n_directions=n_directions, seed=seed)
-    return value
+    return sliced_wasserstein1(sample_p, sample_r)
 
 
 def _running_max(step_max: np.ndarray) -> float:
@@ -155,11 +157,11 @@ class SelectionResult:
     n_nodes: int
 
 
-def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_approximate: bool = False, match_tol: float = 1e-9) -> SelectionResult:
+def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_approximate: bool = False) -> SelectionResult:
     """Collapse a relaxed field to single atoms matching the row-mean drift.
 
     Per (step, node): the candidate atoms minimize |b(t, x, m, a) - mean
-    drift of the row| within match_tol of the attainable minimum; among
+    drift of the row| within 1e-9 (_MATCH_TOL) of the attainable minimum; among
     candidates the one with the largest running reward wins, lowest index on
     ties. Counts the nodes where the selected atom's running reward falls
     short of the row's average reward, which cannot happen when the drift is
@@ -196,7 +198,7 @@ def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_appro
 
     mismatch = np.abs(b - target_b[:, None]).max(axis=-1)  # (M, nA, P)
     best = mismatch.min(axis=1, keepdims=True)
-    candidate = mismatch <= best + match_tol
+    candidate = mismatch <= best + _MATCH_TOL
     sel = np.where(candidate, f, -np.inf).argmax(axis=1)  # (M, P); first max = lowest index
 
     selected = atoms[sel]

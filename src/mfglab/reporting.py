@@ -46,8 +46,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def svg_line_plot(series: dict, *, title: str = "", width: int = 640, height: int = 400, x_label: str = "", y_label: str = "") -> str:
-    """Minimal multi-series line plot; series maps label -> (x array, y array)."""
+def svg_line_plot(series: dict, *, title: str = "") -> str:
+    """Minimal 640 x 400 multi-series line plot; series maps label -> (x array, y array)."""
+    width, height = 640, 400
     pad_l, pad_r, pad_t, pad_b = 56, 16, 28, 40
     iw, ih = width - pad_l - pad_r, height - pad_t - pad_b
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
@@ -77,10 +78,6 @@ def svg_line_plot(series: dict, *, title: str = "", width: int = 640, height: in
         yv = y_lo + frac * (y_hi - y_lo)
         parts.append(f'<text x="{sx(xv):.1f}" y="{height - pad_b + 16}" text-anchor="middle" font-family="monospace" font-size="11">{xv:.4g}</text>')
         parts.append(f'<text x="{pad_l - 6}" y="{sy(yv):.1f}" text-anchor="end" font-family="monospace" font-size="11">{yv:.4g}</text>')
-    if x_label:
-        parts.append(f'<text x="{width / 2:.1f}" y="{height - 8}" text-anchor="middle" font-family="monospace" font-size="12">{x_label}</text>')
-    if y_label:
-        parts.append(f'<text x="14" y="{height / 2:.1f}" text-anchor="middle" font-family="monospace" font-size="12" transform="rotate(-90 14 {height / 2:.1f})">{y_label}</text>')
 
     for i, (label, (x, y)) in enumerate(series.items()):
         color = palette[i % len(palette)]

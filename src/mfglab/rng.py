@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TimeGrid
+from .grids import TimeGrid, positive_count
 
 _MASK63 = (1 << 63) - 1
 
@@ -134,10 +134,7 @@ def sample_brownian(
     particles of a bundle drawn over all streams, without drawing the rest.
     The default is range(n).
     """
-    if n < 1:
-        raise ValueError(f"need at least one particle, got {n}")
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
+    n, dim = positive_count(n, "n"), positive_count(dim, "dim")
     if not 0 <= seed <= np.iinfo(np.uint64).max:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     particles = range(n) if particles is None else _stream_indices(particles, n)

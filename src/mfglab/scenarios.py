@@ -23,7 +23,7 @@ from .measures import EmpiricalFlow, flow_distance, sorted_distance, sorted_slic
 from .mfe import candidate_flow, check_monotonicity, consistency_residual, picard_mfe, same_law_baseline
 from .reporting import config_hash, fmt, svg_line_plot, write_csv
 from .rng import derive_seed, initial_cloud, sample_brownian
-from .grids import TimeGrid
+from .grids import TimeGrid, positive_count
 from .sim import chunk_inputs, euler, nplayer_drift, rep_chunks, simulate_nplayer
 
 
@@ -85,6 +85,13 @@ class ScenarioReport:
             (out / "curves.svg").write_text(svg_line_plot(self.curves, title=self.scenario))
 
 
+def _population_sizes(n_values) -> tuple:
+    """n_values as a nonempty tuple of positive ints, each refused by name."""
+    if len(n_values) == 0:
+        raise ValueError("n_values must hold at least one population size, got none")
+    return tuple(positive_count(v, f"n_values[{i}]") for i, v in enumerate(n_values))
+
+
 def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed: int, labels) -> np.ndarray:
     """Particle-mean paths (reps, M+1) of independent 1-d n-player runs.
 
@@ -119,7 +126,7 @@ def run_sign_drift(
     split; the asymptotic bands are asserted at the largest population when
     t0 is 0 (both ramps live) or the horizon (feedback never activates).
     """
-    n_values = tuple(int(v) for v in n_values)
+    n_values = _population_sizes(n_values)
     config = {"scenario": "sign_drift", "t0": t0, "n_values": list(n_values), "reps": reps,
               "seed": seed, "horizon": horizon, "n_steps": n_steps}
     report = ScenarioReport(scenario="sign_drift", config=config, seed=seed)
@@ -170,8 +177,9 @@ def run_sign_drift(
     return report
 
 
-def _ode_oracle(game, tgrid: TimeGrid, refine: int = 32) -> np.ndarray:
-    """High-resolution explicit integration of dx = B(x) dt from the initial mean."""
+def _ode_oracle(game, tgrid: TimeGrid) -> np.ndarray:
+    """Explicit integration of dx = B(x) dt from the initial mean, 32 substeps per step."""
+    refine = 32
     rhs = games.mean_drift_ode_rhs(game)
     fine = tgrid.refine(refine)
     x = float(game.initial.mean[0])
@@ -200,7 +208,7 @@ def run_mean_drift(
     n (log-log slope near -1/2); "sign" asserts the fair basin split of the
     two ODE branches; "zero" asserts the reflection bound on the noise sup.
     """
-    n_values = tuple(int(v) for v in n_values)
+    n_values = _population_sizes(n_values)
     config = {"scenario": "mean_drift", "profile": profile, "n_values": list(n_values),
               "reps": reps, "seed": seed, "horizon": horizon, "n_steps": n_steps}
     report = ScenarioReport(scenario="mean_drift", config=config, seed=seed)
@@ -295,6 +303,9 @@ def run_monotone_uniqueness(
     consistent at Monte Carlo resolution, and that the coupled n-player
     system tracks it.
     """
+    monotonicity_trials = positive_count(monotonicity_trials, "monotonicity_trials")
+    if len(picard_inits) < 2:
+        raise ValueError(f"picard_inits must hold at least two starts for the pairwise check, got {list(picard_inits)}")
     config = {"scenario": "monotone_uniqueness", "seed": seed, "horizon": horizon,
               "n_steps": n_steps, "n_player": n_player, "picard_particles": picard_particles,
               "picard_inits": list(picard_inits), "monotonicity_trials": monotonicity_trials}

@@ -222,6 +222,33 @@ sys.exit(main(["run", "mean_drift", "--out", {str(tmp_path / "o")!r}] + {FAST_ZE
         assert child.stdout.strip() == "False"
 
 
+class TestScenarioParameters:
+    """Scenario parameters whose values the kind rules accept but no run can use."""
+
+    @pytest.mark.parametrize("scenario,assignment,message", [
+        ("sign_drift", "params.n_values=[0]", "error: n_values[0] must be at least 1, got 0"),
+        ("sign_drift", "params.n_values=[16, -4]", "error: n_values[1] must be at least 1, got -4"),
+        ("mean_drift", "params.n_values=[]", "error: n_values must hold at least one population size, got none"),
+        ("monotone_uniqueness", "params.picard_inits=[0.5]",
+         "error: picard_inits must hold at least two starts for the pairwise check, got [0.5]"),
+        ("monotone_uniqueness", "params.monotonicity_trials=0", "error: monotonicity_trials must be at least 1, got 0"),
+        ("monotone_uniqueness", "params.monotonicity_trials=-4", "error: monotonicity_trials must be at least 1, got -4"),
+    ])
+    def test_refused_by_name_before_anything_runs(self, tmp_path, capsys, monkeypatch, scenario, assignment, message):
+        from mfglab import scenarios
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the scenario started running")
+
+        for name in ("_nplayer_mean_paths", "check_monotonicity", "candidate_flow", "picard_mfe"):
+            monkeypatch.setattr(scenarios, name, must_not_run)
+        assert main(["run", scenario, "--out", str(tmp_path / "x"), "--set", assignment]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert "Traceback" not in captured.err and "report written" not in captured.out
+        assert not (tmp_path / "x").exists()
+
+
 class TestConfigResolution:
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

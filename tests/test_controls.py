@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab.controls import FEEDBACK_CATALOG, ControlField, sign_of_mean, sign_of_state
+from mfglab.controls import ControlField, sign_of_mean, sign_of_state
 from mfglab.games import MeasureStats
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.relaxed import constant_relaxed
@@ -55,9 +55,6 @@ class TestSignFeedbacks:
         x = np.array([[2.0], [-1.0], [0.0]])
         a = f.actions(1, 0.5, x, None)
         assert np.allclose(a[:, 0], [1.0, -1.0, 0.0])
-
-    def test_catalog_names(self):
-        assert {"constant", "sign_of_mean", "sign_of_state"} <= set(FEEDBACK_CATALOG)
 
 
 class TestGridFields:

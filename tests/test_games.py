@@ -10,7 +10,6 @@ from mfglab.games import (
     mean_drift,
     mean_drift_ode_rhs,
     monotone_lq,
-    register_game,
     sign_drift,
 )
 
@@ -25,17 +24,6 @@ class TestCatalog:
         assert g.horizon == 2.0
         with pytest.raises(KeyError):
             make_game("not_a_game")
-
-    def test_register_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            register_game("sign_drift", sign_drift)
-
-    def test_register_and_cleanup(self):
-        register_game("tmp_game_for_test", sign_drift)
-        try:
-            assert make_game("tmp_game_for_test").name == "sign_drift"
-        finally:
-            GAME_CATALOG.pop("tmp_game_for_test")
 
 
 class TestSignDrift:

@@ -264,6 +264,18 @@ class TestMonotonicity:
         rep = check_monotonicity(game, trials=5, n_samples=50, seed=1)
         assert (rep.violations, rep.worst_margin, rep.rows) == (0, 0.0, [])
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"trials": 0}, "trials must be at least 1, got 0"),
+        ({"trials": -1}, "trials must be at least 1, got -1"),
+        ({"trials": True}, "trials must be an int, got True"),
+        ({"n_samples": 1}, "n_samples must be at least 2, got 1"),
+        ({"n_samples": 0}, "n_samples must be at least 1, got 0"),
+        ({"n_samples": 2.5}, "n_samples must be an int, got 2.5"),
+    ])
+    def test_vacuous_counts_are_refused_by_name(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_monotonicity(monotone_lq(), seed=1, **kw)
+
     def test_requires_separable_running_reward(self):
         with pytest.raises(ValueError):
             check_monotonicity(tracking_lq(), trials=10, seed=7)

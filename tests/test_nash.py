@@ -132,6 +132,10 @@ class TestAveragedDeviationWeight:
         assert ent.mean() <= bound + 3 * ent.std(ddof=1) / np.sqrt(ent.size)
 
 
+def _mean_T(flow):
+    return float(flow.mean_path()[-1, 0])
+
+
 class TestReweightedStatistic:
     def test_identity_deviation_reproduces_unweighted_value(self):
         game = sign_drift()
@@ -139,7 +143,7 @@ class TestReweightedStatistic:
         fb = sign_of_mean(tg)
         ens, flow = _coupled(game, tg, fb, 256, seed=5)
         w = girsanov_weights(game, ens, flow, fb, fb)
-        val, se = reweighted_statistic(w, ens, "mean_T")
+        val, se = reweighted_statistic(w, ens, _mean_T)
         assert val == pytest.approx(float(flow.mean_path()[-1, 0]), abs=1e-12)
         assert se <= 1e-12
 
@@ -159,17 +163,17 @@ class TestReweightedStatistic:
         new = ControlField.constant(tg, 0.0)
         ens, flow = _coupled(game, tg, fb, 1024, seed=2)
         w = girsanov_weights(game, ens, flow, fb, new)
-        val, _ = reweighted_statistic(w, ens, "mean_T")
+        val, _ = reweighted_statistic(w, ens, _mean_T)
         assert abs(val - float(flow.mean_path()[-1, 0])) <= 0.1
 
-    def test_unknown_functional_name_rejected(self):
+    def test_functional_must_be_callable(self):
         game = sign_drift()
         tg = TimeGrid(1.0, 40)
         fb = sign_of_mean(tg)
         ens, flow = _coupled(game, tg, fb, 64, seed=7)
         w = girsanov_weights(game, ens, flow, fb, fb)
-        with pytest.raises(KeyError):
-            reweighted_statistic(w, ens, "no_such_functional")
+        with pytest.raises(ValueError, match=r"h must be a callable on flows, got 'mean_T'"):
+            reweighted_statistic(w, ens, "mean_T")
 
 
 class TestExploitability:

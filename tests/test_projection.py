@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -224,14 +225,36 @@ class TestProjectDrift:
         with pytest.raises(ValueError):
             project_drift(ens, bins=np.array([-0.1, 0.0, 0.1]))  # narrower than the data
 
+    @pytest.mark.parametrize("bins,message", [
+        (True, "bins must be an int, got True"),
+        (2.5, "bins must be an int, got 2.5"),
+        (0, "bins must be at least 1, got 0"),
+        (-3, "bins must be at least 1, got -3"),
+    ])
+    def test_bad_bin_counts_are_refused_by_name(self, bins, message):
+        ens = _coin_paths(100, TimeGrid(1.0, 20), seed=7)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_drift(ens, bins=bins)
+
+    @pytest.mark.parametrize("min_count", [-1, 2.5, True])
+    def test_bad_min_count_is_refused_by_name(self, min_count):
+        ens = _coin_paths(100, TimeGrid(1.0, 20), seed=7)
+        with pytest.raises(ValueError, match=rf"^min_count must be an int >= 0, got {min_count!r}$"):
+            project_drift(ens, min_count=min_count)
+
+    def test_numpy_bin_count_is_accepted(self):
+        ens = _coin_paths(100, TimeGrid(1.0, 20), seed=7)
+        assert np.array_equal(project_drift(ens, bins=np.int64(8)).values, project_drift(ens, bins=8).values)
+
     def test_missing_or_misshapen_drift_samples_rejected(self):
         tg = TimeGrid(1.0, 20)
         ens = _coin_paths(100, tg, seed=8)
         bare = dataclasses.replace(ens, drifts=None)
         with pytest.raises(ValueError):
             project_drift(bare)
-        with pytest.raises(ValueError):
-            project_drift(bare, drifts=np.zeros((100, 7, 1)))
+        misshapen = dataclasses.replace(ens, drifts=np.zeros((100, 7, 1)))
+        with pytest.raises(ValueError, match=r"drift samples must be \(100, 20, 1\), got \(100, 7, 1\)"):
+            project_drift(misshapen)
 
     def test_multidimensional_states_rejected(self):
         tg = TimeGrid(1.0, 10)

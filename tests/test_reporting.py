@@ -71,8 +71,8 @@ class TestConfigHash:
 class TestSvgLinePlot:
     def test_self_contained_markup(self):
         x = np.linspace(0, 1, 20)
-        svg = svg_line_plot({"a": (x, x**2), "b": (x, 1 - x)}, title="demo", x_label="t", y_label="v")
-        assert svg.startswith("<svg ") and svg.endswith("</svg>")
+        svg = svg_line_plot({"a": (x, x**2), "b": (x, 1 - x)}, title="demo")
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400" ') and svg.endswith("</svg>")
         assert svg.count("<polyline") == 2
         assert "demo" in svg and "href" not in svg and "script" not in svg
         assert ">a</text>" in svg and ">b</text>" in svg

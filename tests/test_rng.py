@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,22 @@ class TestSampleBrownian:
         with pytest.raises(ValueError):
             sample_brownian(1, 4, tg, dim=0)
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"n": 2.5}, "n must be an int, got 2.5"),
+        ({"n": True}, "n must be an int, got True"),
+        ({"n": -3}, "n must be at least 1, got -3"),
+        ({"dim": 2.5}, "dim must be an int, got 2.5"),
+        ({"dim": True}, "dim must be an int, got True"),
+    ])
+    def test_counts_are_refused_by_name(self, kw, message):
+        args = {"n": 3, "dim": 1, **kw}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_brownian(1, args["n"], TimeGrid(1.0, 4), args["dim"])
+
+    def test_numpy_counts_are_accepted(self):
+        bundle = sample_brownian(1, np.int64(3), TimeGrid(1.0, 4), np.int32(1))
+        assert np.array_equal(bundle.increments, sample_brownian(1, 3, TimeGrid(1.0, 4), 1).increments)
+
 
 class TestTimeMajorNoise:
     # 256 particles of 256 steps x 2 dims fill one 1 MiB draw block, so these
@@ -245,9 +262,9 @@ class TestPhiloxStreams:
         assert np.array_equal(philox(5, 1).standard_normal(4), _fresh_stream(5, 1).standard_normal(4))
 
     def test_sliced_directions_unchanged(self):
-        # the directions were drawn from a hand-built Philox keyed (seed, dim)
-        v = _fresh_stream(7, 3).standard_normal((16, 3))
-        assert np.array_equal(sliced_directions(3, 16, 7), v / np.linalg.norm(v, axis=1, keepdims=True))
+        # the 32 directions were drawn from a hand-built Philox keyed (0, dim)
+        v = _fresh_stream(0, 3).standard_normal((32, 3))
+        assert np.array_equal(sliced_directions(3), v / np.linalg.norm(v, axis=1, keepdims=True))
 
     def test_picard_mixer_draw_unchanged(self):
         # iteration 1 of seed 3 keeps the old particles of the second draw
