@@ -109,8 +109,6 @@ class GameSpec:
     """
 
     name: str
-    dim: int
-    action_dim: int
     action_lo: np.ndarray
     action_hi: np.ndarray
     horizon: float
@@ -133,12 +131,21 @@ class GameSpec:
     def __post_init__(self):
         for name in ("action_lo", "action_hi", "state_lo", "state_hi"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if self.action_lo.shape != (self.action_dim,) or self.action_hi.shape != (self.action_dim,):
-            raise ValueError("action bounds must have shape (action_dim,)")
-        if self.state_lo.shape != (self.dim,) or self.state_hi.shape != (self.dim,):
-            raise ValueError("state bounds must have shape (dim,)")
-        if self.initial.dim != self.dim:
-            raise ValueError("initial law dimension does not match state dimension")
+        if self.action_lo.ndim != 1 or self.action_hi.shape != self.action_lo.shape:
+            raise ValueError(f"action_lo and action_hi must be vectors of one shape, got {self.action_lo.shape} and {self.action_hi.shape}")
+        for name in ("state_lo", "state_hi"):
+            if getattr(self, name).shape != (self.dim,):
+                raise ValueError(f"{name} must have the initial law's shape {(self.dim,)}, got {getattr(self, name).shape}")
+
+    @property
+    def dim(self) -> int:
+        """State dimension, that of the initial law."""
+        return self.initial.dim
+
+    @property
+    def action_dim(self) -> int:
+        """Action dimension, that of the action box."""
+        return self.action_lo.shape[0]
 
     @property
     def payoff_scale(self) -> float:
@@ -154,6 +161,16 @@ def _zero_terminal(x, m):
     return np.zeros(x.shape[:-1])
 
 
+def _action_reward(c: float) -> Callable:
+    """Running reward c * a^2 of the first action coordinate."""
+
+    def running(t, x, m, a):
+        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1])
+        return np.broadcast_to(c * a[..., 0] ** 2, shape).copy()
+
+    return running
+
+
 def _default_state_box(initial: InitialLaw, drift_bound: float, horizon: float):
     # wide enough that simulated paths essentially never leave the box:
     # initial support plus worst-case drift plus six standard deviations
@@ -163,35 +180,46 @@ def _default_state_box(initial: InitialLaw, drift_bound: float, horizon: float):
     return lo, hi
 
 
+def _unit_control(name, horizon, params, *, running, terminal, running_bound, terminal_bound, split=False) -> GameSpec:
+    """One-dimensional game whose drift is the action, from [-1, 1], started at 0.
+
+    The state box is [-r, r], and terminal_bound maps its half-width r to the
+    bound on |terminal|. split declares the running reward separable, with a
+    zero measure part.
+    """
+    initial = InitialLaw("point", [0.0], [0.0])
+    lo, hi = _default_state_box(initial, 1.0, horizon)
+    return GameSpec(
+        name=name,
+        action_lo=[-1.0],
+        action_hi=[1.0],
+        horizon=horizon,
+        initial=initial,
+        drift=lambda t, x, m, a: a,
+        running=running,
+        terminal=terminal,
+        drift_bound=1.0,
+        running_bound=running_bound,
+        terminal_bound=terminal_bound(float(hi[0])),
+        state_lo=lo,
+        state_hi=hi,
+        drift_affine_in_action=True,
+        running_split=(lambda t, x, m: np.zeros(x.shape[:-1]), lambda t, x, a: running(t, x, None, a)) if split else None,
+        coefficients_batch_time=True,
+        params=params,
+    )
+
+
 def sign_drift(horizon: float = 1.0) -> GameSpec:
     """Fully controlled drift, terminal reward x times the population mean.
 
     The terminal coupling rewards moving with the crowd, so the population
     can coordinate on drifting up, drifting down, or not at all.
     """
-    initial = InitialLaw("point", [0.0], [0.0])
-    lo, hi = _default_state_box(initial, 1.0, horizon)
-    mean_bound = float(np.max(np.abs([lo, hi])))
-    return GameSpec(
-        name="sign_drift",
-        dim=1,
-        action_dim=1,
-        action_lo=[-1.0],
-        action_hi=[1.0],
-        horizon=horizon,
-        initial=initial,
-        drift=lambda t, x, m, a: a,
-        running=_zero_running,
-        terminal=lambda x, m: x[..., 0] * m.mean[..., 0],
-        drift_bound=1.0,
-        running_bound=0.0,
-        terminal_bound=mean_bound * (1.0 + horizon),
-        state_lo=lo,
-        state_hi=hi,
-        drift_affine_in_action=True,
-        running_split=(lambda t, x, m: np.zeros(x.shape[:-1]), lambda t, x, a: np.zeros(np.broadcast_shapes(x.shape[:-1], a.shape[:-1]))),
-        coefficients_batch_time=True,
-        params={"horizon": horizon},
+    return _unit_control(
+        "sign_drift", horizon, {"horizon": horizon},
+        running=_zero_running, terminal=lambda x, m: x[..., 0] * m.mean[..., 0],
+        running_bound=0.0, terminal_bound=lambda r: r * (1.0 + horizon), split=True,
     )
 
 
@@ -202,37 +230,10 @@ def monotone_lq(horizon: float = 1.0, action_cost: float = 0.5) -> GameSpec:
     standard monotonicity inequality hold with a strict sign and pins down a
     single equilibrium: nobody moves.
     """
-    initial = InitialLaw("point", [0.0], [0.0])
-    lo, hi = _default_state_box(initial, 1.0, horizon)
-    mean_bound = float(np.max(np.abs([lo, hi])))
-
-    def running(t, x, m, a):
-        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1])
-        return np.broadcast_to(-action_cost * a[..., 0] ** 2, shape).copy()
-
-    return GameSpec(
-        name="monotone_lq",
-        dim=1,
-        action_dim=1,
-        action_lo=[-1.0],
-        action_hi=[1.0],
-        horizon=horizon,
-        initial=initial,
-        drift=lambda t, x, m, a: a,
-        running=running,
-        terminal=lambda x, m: -x[..., 0] * m.mean[..., 0],
-        drift_bound=1.0,
-        running_bound=action_cost,
-        terminal_bound=mean_bound * (1.0 + horizon),
-        state_lo=lo,
-        state_hi=hi,
-        drift_affine_in_action=True,
-        running_split=(
-            lambda t, x, m: np.zeros(x.shape[:-1]),
-            lambda t, x, a: np.broadcast_to(-action_cost * a[..., 0] ** 2, np.broadcast_shapes(x.shape[:-1], a.shape[:-1])).copy(),
-        ),
-        coefficients_batch_time=True,
-        params={"horizon": horizon, "action_cost": action_cost},
+    return _unit_control(
+        "monotone_lq", horizon, {"horizon": horizon, "action_cost": action_cost},
+        running=_action_reward(-action_cost), terminal=lambda x, m: -x[..., 0] * m.mean[..., 0],
+        running_bound=action_cost, terminal_bound=lambda r: r * (1.0 + horizon), split=True,
     )
 
 
@@ -265,8 +266,6 @@ def mean_drift(profile: str = "linear", scale: float = 1.0, x0: float = 1.0, hor
 
     return GameSpec(
         name="mean_drift",
-        dim=1,
-        action_dim=1,
         action_lo=[0.0],
         action_hi=[0.0],
         horizon=horizon,
@@ -299,8 +298,6 @@ def driftless(horizon: float = 1.0, x0: float = 0.0) -> GameSpec:
     lo, hi = _default_state_box(initial, 0.0, horizon)
     return GameSpec(
         name="driftless",
-        dim=1,
-        action_dim=1,
         action_lo=[0.0],
         action_hi=[0.0],
         horizon=horizon,
@@ -325,33 +322,10 @@ def tracking_lq(horizon: float = 1.0, target: float = 1.0, action_cost: float = 
     problem with a known qualitative solution (drive at full speed toward
     the target until the cost of overshooting bites).
     """
-    initial = InitialLaw("point", [0.0], [0.0])
-    lo, hi = _default_state_box(initial, 1.0, horizon)
-    span = float(np.max(np.abs([lo - target, hi - target])))
-
-    def running(t, x, m, a):
-        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1])
-        return np.broadcast_to(-action_cost * a[..., 0] ** 2, shape).copy()
-
-    return GameSpec(
-        name="tracking_lq",
-        dim=1,
-        action_dim=1,
-        action_lo=[-1.0],
-        action_hi=[1.0],
-        horizon=horizon,
-        initial=initial,
-        drift=lambda t, x, m, a: a,
-        running=running,
-        terminal=lambda x, m: -((x[..., 0] - target) ** 2),
-        drift_bound=1.0,
-        running_bound=action_cost,
-        terminal_bound=span**2,
-        state_lo=lo,
-        state_hi=hi,
-        drift_affine_in_action=True,
-        coefficients_batch_time=True,
-        params={"horizon": horizon, "target": target, "action_cost": action_cost},
+    return _unit_control(
+        "tracking_lq", horizon, {"horizon": horizon, "target": target, "action_cost": action_cost},
+        running=_action_reward(-action_cost), terminal=lambda x, m: -((x[..., 0] - target) ** 2),
+        running_bound=action_cost, terminal_bound=lambda r: (r + abs(target)) ** 2,
     )
 
 
@@ -362,32 +336,10 @@ def action_square(horizon: float = 1.0, reward_sign: float = 1.0) -> GameSpec:
     breaks the convexity assumption behind drift-matching selection and is
     used as its counterexample.
     """
-    initial = InitialLaw("point", [0.0], [0.0])
-    lo, hi = _default_state_box(initial, 1.0, horizon)
-
-    def running(t, x, m, a):
-        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1])
-        return np.broadcast_to(reward_sign * a[..., 0] ** 2, shape).copy()
-
-    return GameSpec(
-        name="action_square",
-        dim=1,
-        action_dim=1,
-        action_lo=[-1.0],
-        action_hi=[1.0],
-        horizon=horizon,
-        initial=initial,
-        drift=lambda t, x, m, a: a,
-        running=running,
-        terminal=_zero_terminal,
-        drift_bound=1.0,
-        running_bound=1.0,
-        terminal_bound=0.0,
-        state_lo=lo,
-        state_hi=hi,
-        drift_affine_in_action=True,
-        coefficients_batch_time=True,
-        params={"horizon": horizon, "reward_sign": reward_sign},
+    return _unit_control(
+        "action_square", horizon, {"horizon": horizon, "reward_sign": reward_sign},
+        running=_action_reward(reward_sign), terminal=_zero_terminal,
+        running_bound=1.0, terminal_bound=lambda r: 0.0,
     )
 
 

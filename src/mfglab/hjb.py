@@ -19,8 +19,9 @@ import numpy as np
 from .controls import ControlField
 from .games import GameSpec
 from .grids import ActionGrid, SpatialGrid, TimeGrid
+from .relaxed import _match_drift
 from .rng import BrownianBundle
-from .sim import coefficient_table, path_payoffs, simulate_frozen_flow
+from .sim import _standard_error, coefficient_table, path_payoffs, simulate_frozen_flow
 
 
 class CFLError(RuntimeError):
@@ -144,9 +145,9 @@ def solve_hjb(
     values = np.empty((M + 1,) + space)
     values[M] = V
     control_values = np.empty((M,) + space + (atoms.shape[1],))
-    B, F = coefficient_table(game, times[:M], stats_path, nodes, atoms)
-    B = B.reshape((M, nA) + space + (sgrid.dim,))
-    F = F.reshape((M, nA) + space)
+    B_nodes, F_nodes = coefficient_table(game, times[:M], stats_path, nodes, atoms)
+    B = B_nodes.reshape((M, nA) + space + (sgrid.dim,))
+    F = F_nodes.reshape((M, nA) + space)
 
     for j in range(M - 1, -1, -1):
         t = times[j]
@@ -171,18 +172,9 @@ def solve_hjb(
         if tie_tol == 0.0:
             sel = H.argmax(axis=0)
         else:
-            tied = H >= Hmax - tie_tol
-            weights = tied / tied.sum(axis=0)
-            # einsum chooses its loops from its operands' strides; the table
-            # slice (possibly a broadcast view) gets the per-step layout, and
-            # with it the per-step summation order
-            Bj = np.ascontiguousarray(B[j])
-            target = np.einsum("i...,i...k->...k", weights, Bj)
-            mismatch = np.abs(Bj - target).max(axis=-1)
-            mismatch = np.where(tied, mismatch, np.inf)
-            best = mismatch.min(axis=0)
-            candidate = tied & (mismatch <= best + 1e-12)
-            sel = np.where(candidate, F[j], -np.inf).argmax(axis=0)
+            tied = (H >= Hmax - tie_tol).reshape(nA, -1)
+            sel, _ = _match_drift(tied / tied.sum(axis=0), B_nodes[j], F_nodes[j], 1e-12, among=tied)
+            sel = sel.reshape(space)
 
         control_values[j] = atoms[sel]
         V += dt * (0.5 * lap + Hmax)
@@ -203,6 +195,4 @@ def evaluate_payoff(game: GameSpec, flow, control: ControlField, bundle: Brownia
     """
     ens = simulate_frozen_flow(game, control, flow, bundle, init)
     payoffs = path_payoffs(game, ens, control, stats_path=flow.stats_path())
-    n = payoffs.shape[0]
-    se = float(payoffs.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return float(payoffs.mean()), se
+    return float(payoffs.mean()), _standard_error(payoffs)

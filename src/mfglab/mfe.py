@@ -16,7 +16,7 @@ import numpy as np
 
 from .controls import ControlField
 from .games import GameSpec
-from .grids import ActionGrid, SpatialGrid, TimeGrid, positive_count
+from .grids import TimeGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import EmpiricalFlow, flow_distance, sorted_distance, sorted_slices
 from .rng import derive_seed, initial_cloud, philox, sample_brownian
@@ -59,15 +59,14 @@ def picard_mfe(
     tol: float = 0.02,
     max_iter: int = 25,
     seed: int = 0,
-    sgrid: SpatialGrid | None = None,
-    agrid: ActionGrid | None = None,
     indifference: float = 0.0,
 ) -> PicardResult:
     """Damped best-response iteration on sample flows.
 
-    Each iteration solves the dynamic program against the current flow, plays
-    the resulting feedback with fresh noise, and replaces a damping fraction
-    of the particle paths with fresh ones (path-coherent subsampling, so time
+    Each iteration solves the dynamic program against the current flow (on
+    the game's stable_spatial_grid and default_action_grid), plays the
+    resulting feedback with fresh noise, and replaces a damping fraction of
+    the particle paths with fresh ones (path-coherent subsampling, so time
     slices stay coupled); only the round(damping * n) fresh paths that are
     kept get simulated. The residual is the worst-time W1 distance between
     consecutive flows; iteration stops at tol or reports non-convergence.
@@ -93,10 +92,7 @@ def picard_mfe(
         # the mixed flow would only reshuffle the old paths, and a residual
         # of 0.0 would report convergence without any iteration
         raise ValueError(f"damping {damping} keeps no fresh particle of the flow's {n}: round(damping * {n}) is 0")
-    if sgrid is None:
-        sgrid = stable_spatial_grid(game, tgrid)
-    if agrid is None:
-        agrid = default_action_grid(game)
+    sgrid, agrid = stable_spatial_grid(game, tgrid), default_action_grid(game)
 
     flow = init_flow
     # the sorted slices of the current flow ride along to the next residual,

@@ -26,12 +26,13 @@ import numpy as np
 
 from .controls import ControlField
 from .games import GameSpec, MeasureStats
-from .grids import ActionGrid, SpatialGrid, positive_count
+from .grids import positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import EmpiricalFlow
 from .sim import (
     ParticleEnsemble,
     _feedback_groups,
+    _standard_error,
     chunk_inputs,
     control_drift,
     euler,
@@ -125,9 +126,7 @@ def reweighted_statistic(weights: GirsanovWeights, ensemble: ParticleEnsemble, h
         raise ValueError(f"h must be a callable on flows, got {h!r}")
     hv = float(h(EmpiricalFlow.from_ensemble(ensemble)))
     vals = weights.terminal * hv
-    n = vals.shape[0]
-    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return float(vals.mean()), se
+    return float(vals.mean()), _standard_error(vals)
 
 
 @dataclass
@@ -175,17 +174,16 @@ def exploitability_estimate(
     n: int,
     reps: int,
     seed: int = 0,
-    sgrid: SpatialGrid | None = None,
-    agrid: ActionGrid | None = None,
     br_control: ControlField | None = None,
 ) -> ExploitabilityResult:
     """Gap between deviating against the frozen flow and conforming.
 
     The equilibrium run has all n players use mfe_control; the deviation run
-    replaces player 0's feedback with the dynamic-programming best response
-    to mfe_flow (computed once). Both runs of a repetition share the same
-    Brownian bundle and initial cloud, so the gap estimate cancels most of
-    the common noise. The frozen-flow best response is a proxy for the true
+    replaces player 0's feedback with br_control, by default the
+    dynamic-programming best response to mfe_flow on the game's
+    stable_spatial_grid and default_action_grid (computed once). Both runs
+    of a repetition share the same Brownian bundle and initial cloud, so the
+    gap estimate cancels most of the common noise. The frozen-flow best response is a proxy for the true
     n-player best response, accurate up to the flow fluctuation scale.
 
     Repetition r draws its noise and initial cloud from the seeds derived
@@ -204,11 +202,7 @@ def exploitability_estimate(
         if control is not None and control.tgrid != tgrid:
             raise ValueError(f"{name} time grid {control.tgrid} differs from mfe_flow's grid {tgrid}")
     if br_control is None:
-        if sgrid is None:
-            sgrid = stable_spatial_grid(game, tgrid)
-        if agrid is None:
-            agrid = default_action_grid(game)
-        br_control = solve_hjb(game, mfe_flow, sgrid, agrid).control
+        br_control = solve_hjb(game, mfe_flow, stable_spatial_grid(game, tgrid), default_action_grid(game)).control
 
     family = [br_control] + [mfe_control] * (n - 1)
     eqs = np.empty(reps)
@@ -219,10 +213,7 @@ def exploitability_estimate(
         devs[chunk.start:chunk.stop] = _player0_payoffs(game, family, noise, x0, tgrid, chunk.start)
     gaps = devs - eqs
     rows = [{"n": n, "rep": r, "j_eq": float(eqs[r]), "j_dev": float(devs[r])} for r in range(reps)]
-
-    se_gap = float(gaps.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
-    se_eq = float(eqs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
     return ExploitabilityResult(
         n=n, reps=reps, j_eq=float(eqs.mean()), j_dev=float(devs.mean()),
-        gap=float(gaps.mean()), se_gap=se_gap, se_eq=se_eq, rows=rows,
+        gap=float(gaps.mean()), se_gap=_standard_error(gaps), se_eq=_standard_error(eqs), rows=rows,
     )

@@ -148,6 +148,28 @@ def _running_max(step_max: np.ndarray) -> float:
     return float(step_max[step_max > 0.0].max(initial=0.0))
 
 
+def _match_drift(weights, b, f, tol, among=None):
+    """Per node, the atom whose drift best matches the weighted mean drift.
+
+    weights (..., n_atoms, P), drifts b (..., n_atoms, P, d) and running
+    rewards f (..., n_atoms, P). The candidates are the atoms (of the boolean
+    mask among, when given) whose worst-coordinate distance to the mean drift
+    is within tol of the smallest; the largest running reward wins, then the
+    lowest index. Returns the selected atoms (..., P) and the distances
+    (..., n_atoms, P), inf outside among.
+    """
+    # einsum chooses its loops from its operands' strides; the drift table
+    # (possibly a broadcast view) gets the layout of stacked per-step atom
+    # values, and with it the per-step summation order
+    b = np.ascontiguousarray(b)
+    target = np.einsum("...ip,...ipd->...pd", weights, b)
+    mismatch = np.abs(b - target[..., None, :, :]).max(axis=-1)
+    if among is not None:
+        mismatch = np.where(among, mismatch, np.inf)
+    candidate = mismatch <= mismatch.min(axis=-2, keepdims=True) + tol
+    return np.where(candidate, f, -np.inf).argmax(axis=-2), mismatch
+
+
 @dataclass
 class SelectionResult:
     control: ControlField
@@ -188,18 +210,11 @@ def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_appro
     M = tgrid.n_steps
 
     b, f = coefficient_table(game, tgrid.times[:M], stats_path, nodes, atoms)
-    # einsum chooses its loops from its operands' strides; the tables
-    # (possibly broadcast views) get the layout of stacked per-step atom
-    # values, and with it the per-step summation order
-    b, f = np.ascontiguousarray(b), np.ascontiguousarray(f)
+    # contiguous for the per-step summation order, as in _match_drift
+    f = np.ascontiguousarray(f)
     probs = relaxed.values.reshape(M, P, nA)
-    target_b = np.einsum("mpi,mipd->mpd", probs, b)
     target_f = np.einsum("mpi,mip->mp", probs, f)
-
-    mismatch = np.abs(b - target_b[:, None]).max(axis=-1)  # (M, nA, P)
-    best = mismatch.min(axis=1, keepdims=True)
-    candidate = mismatch <= best + _MATCH_TOL
-    sel = np.where(candidate, f, -np.inf).argmax(axis=1)  # (M, P); first max = lowest index
+    sel, mismatch = _match_drift(probs.transpose(0, 2, 1), b, f, _MATCH_TOL)  # (M, P), (M, nA, P)
 
     selected = atoms[sel]
     picked = sel[:, None]

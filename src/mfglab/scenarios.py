@@ -99,8 +99,7 @@ def _nplayer_mean_paths(game, feedback, tgrid: TimeGrid, n: int, reps: int, seed
     from (seed, label, n, r) for the noise and initial-cloud labels. Each
     chunk of repetitions is stepped as a batch, one chunk after another.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    reps = positive_count(reps, "reps")
     drift = nplayer_drift(game, feedback, tgrid, n)
 
     def run_chunk(chunk):
@@ -303,6 +302,8 @@ def run_monotone_uniqueness(
     consistent at Monte Carlo resolution, and that the coupled n-player
     system tracks it.
     """
+    n_player = positive_count(n_player, "n_player")
+    picard_particles = positive_count(picard_particles, "picard_particles")
     monotonicity_trials = positive_count(monotonicity_trials, "monotonicity_trials")
     if len(picard_inits) < 2:
         raise ValueError(f"picard_inits must hold at least two starts for the pairwise check, got {list(picard_inits)}")

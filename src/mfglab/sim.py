@@ -371,3 +371,9 @@ def path_payoffs(game: GameSpec, ensemble: ParticleEnsemble, feedbacks, stats_pa
     x_T = ensemble.states[:, M, :]
     stats_T = MeasureStats.from_cloud(x_T) if own_stats else stats_path[M]
     return total + reward_at(game, None, M, times[M], x_T, stats_T, grid)
+
+
+def _standard_error(samples: np.ndarray) -> float:
+    """Monte Carlo standard error of the mean of samples (n,); inf for one sample."""
+    n = samples.shape[0]
+    return float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")

@@ -233,6 +233,11 @@ class TestScenarioParameters:
          "error: picard_inits must hold at least two starts for the pairwise check, got [0.5]"),
         ("monotone_uniqueness", "params.monotonicity_trials=0", "error: monotonicity_trials must be at least 1, got 0"),
         ("monotone_uniqueness", "params.monotonicity_trials=-4", "error: monotonicity_trials must be at least 1, got -4"),
+        ("monotone_uniqueness", "params.n_player=0", "error: n_player must be at least 1, got 0"),
+        ("monotone_uniqueness", "params.picard_particles=0", "error: picard_particles must be at least 1, got 0"),
+        ("monotone_uniqueness", "params.picard_particles=-8", "error: picard_particles must be at least 1, got -8"),
+        ("sign_drift", "params.reps=0", "error: reps must be at least 1, got 0"),
+        ("mean_drift", "params.reps=-3", "error: reps must be at least 1, got -3"),
     ])
     def test_refused_by_name_before_anything_runs(self, tmp_path, capsys, monkeypatch, scenario, assignment, message):
         from mfglab import scenarios
@@ -240,7 +245,7 @@ class TestScenarioParameters:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the scenario started running")
 
-        for name in ("_nplayer_mean_paths", "check_monotonicity", "candidate_flow", "picard_mfe"):
+        for name in ("chunk_inputs", "euler", "check_monotonicity", "candidate_flow", "picard_mfe"):
             monkeypatch.setattr(scenarios, name, must_not_run)
         assert main(["run", scenario, "--out", str(tmp_path / "x"), "--set", assignment]) == 1
         captured = capsys.readouterr()

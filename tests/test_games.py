@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfglab.games import (
     GAME_CATALOG,
+    GameSpec,
     InitialLaw,
     MeasureStats,
     action_square,
@@ -12,6 +15,123 @@ from mfglab.games import (
     monotone_lq,
     sign_drift,
 )
+
+
+# Each catalog factory at its default arguments and at one other set, as
+# built before the four unit-control games shared one constructor: every
+# non-callable field, and the callables on the probe below, flattened.
+PINNED = [
+    ("sign_drift", {}, dict(dims=(1, 1), action_box=([-1.0], [1.0]), horizon=1.0, initial=("point", [0.0], [0.0]),
+        bounds=(1.0, 0.0, 14.0), state_box=([-7.0], [7.0]), flags=(True, True), params={"horizon": 1.0},
+        drift=[-1.0, 0.25, 0.6], running=[0.0, 0.0, 0.0], terminal=[-0.27999999999999997, 0.08000000000000002, 0.52],
+        split=([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))),
+    ("sign_drift", {"horizon": 2.5}, dict(dims=(1, 1), action_box=([-1.0], [1.0]), horizon=2.5,
+        initial=("point", [0.0], [0.0]), bounds=(1.0, 0.0, 41.95391543176798),
+        state_box=([-11.986832980505138], [11.986832980505138]), flags=(True, True), params={"horizon": 2.5},
+        drift=[-1.0, 0.25, 0.6], running=[0.0, 0.0, 0.0], terminal=[-0.27999999999999997, 0.08000000000000002, 0.52],
+        split=([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))),
+    ("monotone_lq", {}, dict(dims=(1, 1), action_box=([-1.0], [1.0]), horizon=1.0, initial=("point", [0.0], [0.0]),
+        bounds=(1.0, 0.5, 14.0), state_box=([-7.0], [7.0]), flags=(True, True),
+        params={"horizon": 1.0, "action_cost": 0.5}, drift=[-1.0, 0.25, 0.6], running=[-0.5, -0.03125, -0.18],
+        terminal=[0.27999999999999997, -0.08000000000000002, -0.52], split=([0.0, 0.0, 0.0], [-0.5, -0.03125, -0.18]))),
+    ("monotone_lq", {"horizon": 0.75, "action_cost": 1.3}, dict(dims=(1, 1), action_box=([-1.0], [1.0]), horizon=0.75,
+        initial=("point", [0.0], [0.0]), bounds=(1.0, 1.3, 10.405766739736606),
+        state_box=([-5.946152422706632], [5.946152422706632]), flags=(True, True),
+        params={"horizon": 0.75, "action_cost": 1.3}, drift=[-1.0, 0.25, 0.6],
+        running=[-1.3, -0.08125, -0.46799999999999997], terminal=[0.27999999999999997, -0.08000000000000002, -0.52],
+        split=([0.0, 0.0, 0.0], [-1.3, -0.08125, -0.46799999999999997]))),
+    ("mean_drift", {}, dict(dims=(1, 1), action_box=([0.0], [0.0]), horizon=1.0, initial=("point", [1.0], [0.0]),
+        bounds=(8.0, 0.0, 0.0), state_box=([-13.0], [15.0]), flags=(False, True),
+        params={"profile": "linear", "scale": 1.0, "x0": 1.0, "horizon": 1.0}, drift=[-0.4, -0.4, -0.4],
+        running=[0.0, 0.0, 0.0], terminal=[0.0, 0.0, 0.0], split=None)),
+    ("mean_drift", {"profile": "sqrt", "scale": -0.7, "x0": 0.5, "horizon": 2.0}, dict(dims=(1, 1),
+        action_box=([0.0], [0.0]), horizon=2.0, initial=("point", [0.5], [0.0]),
+        bounds=(np.float64(1.9798989873223332), 0.0, 0.0), state_box=([-11.945079348883237], [12.945079348883237]),
+        flags=(False, True), params={"profile": "sqrt", "scale": -0.7, "x0": 0.5, "horizon": 2.0},
+        drift=[-0.4427188724235731, -0.4427188724235731, -0.4427188724235731], running=[0.0, 0.0, 0.0],
+        terminal=[0.0, 0.0, 0.0], split=None)),
+    ("driftless", {}, dict(dims=(1, 1), action_box=([0.0], [0.0]), horizon=1.0, initial=("point", [0.0], [0.0]),
+        bounds=(1e-12, 0.0, 0.0), state_box=([-6.0], [6.0]), flags=(False, True), params={"horizon": 1.0, "x0": 0.0},
+        drift=[0.0, 0.0, 0.0], running=[0.0, 0.0, 0.0], terminal=[0.0, 0.0, 0.0], split=None)),
+    ("driftless", {"horizon": 0.6, "x0": -1.5}, dict(dims=(1, 1), action_box=([0.0], [0.0]), horizon=0.6,
+        initial=("point", [-1.5], [0.0]), bounds=(1e-12, 0.0, 0.0),
+        state_box=([-6.1475800154489], [3.1475800154489004]), flags=(False, True),
+        params={"horizon": 0.6, "x0": -1.5}, drift=[0.0, 0.0, 0.0], running=[0.0, 0.0, 0.0], terminal=[0.0, 0.0, 0.0],
+        split=None)),
+    ("tracking_lq", {}, dict(dims=(1, 1), action_box=([-1.0], [1.0]), horizon=1.0, initial=("point", [0.0], [0.0]),
+        bounds=(1.0, 0.0, 64.0), state_box=([-7.0], [7.0]), flags=(True, True),
+        params={"horizon": 1.0, "target": 1.0, "action_cost": 0.0}, drift=[-1.0, 0.25, 0.6],
+        running=[-0.0, -0.0, -0.0], terminal=[-2.8899999999999997, -0.6400000000000001, -0.09000000000000002],
+        split=None)),
+    ("tracking_lq", {"horizon": 1.7, "target": -0.4, "action_cost": 0.8}, dict(dims=(1, 1),
+        action_box=([-1.0], [1.0]), horizon=1.7, initial=("point", [0.0], [0.0]),
+        bounds=(1.0, 0.8, 98.46678012222137), state_box=([-9.523042886243179], [9.523042886243179]),
+        flags=(True, True), params={"horizon": 1.7, "target": -0.4, "action_cost": 0.8}, drift=[-1.0, 0.25, 0.6],
+        running=[-0.8, -0.05, -0.288], terminal=[-0.08999999999999996, -0.3600000000000001, -2.8900000000000006],
+        split=None)),
+    ("action_square", {}, dict(dims=(1, 1), action_box=([-1.0], [1.0]), horizon=1.0, initial=("point", [0.0], [0.0]),
+        bounds=(1.0, 1.0, 0.0), state_box=([-7.0], [7.0]), flags=(True, True),
+        params={"horizon": 1.0, "reward_sign": 1.0}, drift=[-1.0, 0.25, 0.6], running=[1.0, 0.0625, 0.36],
+        terminal=[0.0, 0.0, 0.0], split=None)),
+    ("action_square", {"horizon": 0.9, "reward_sign": -1.0}, dict(dims=(1, 1), action_box=([-1.0], [1.0]),
+        horizon=0.9, initial=("point", [0.0], [0.0]), bounds=(1.0, 1.0, 0.0),
+        state_box=([-6.5920997883030825], [6.5920997883030825]), flags=(True, True),
+        params={"horizon": 0.9, "reward_sign": -1.0}, drift=[-1.0, 0.25, 0.6], running=[-1.0, -0.0625, -0.36],
+        terminal=[0.0, 0.0, 0.0], split=None)),
+]
+
+
+def _pinned_view(g):
+    def flat(v):
+        return [float(u) for u in np.ravel(v)]
+
+    t, x, a = 0.3, np.array([[-0.7], [0.2], [1.3]]), np.array([[-1.0], [0.25], [0.6]])
+    m = MeasureStats(mean=np.array([0.4]), var=np.array([0.2]))
+    split = None
+    if g.running_split is not None:
+        f1, f2 = g.running_split
+        split = (flat(f1(t, x, m)), flat(f2(t, x, a)))
+    return dict(
+        dims=(g.dim, g.action_dim), action_box=(flat(g.action_lo), flat(g.action_hi)), horizon=g.horizon,
+        initial=(g.initial.kind, flat(g.initial.loc), flat(g.initial.scale)),
+        bounds=(g.drift_bound, g.running_bound, g.terminal_bound), state_box=(flat(g.state_lo), flat(g.state_hi)),
+        flags=(g.drift_affine_in_action, g.coefficients_batch_time), params=g.params,
+        drift=flat(g.drift(t, x, m, a)), running=flat(g.running(t, x, m, a)), terminal=flat(g.terminal(x, m)),
+        split=split,
+    )
+
+
+class TestPinnedCatalog:
+    @pytest.mark.parametrize("name,kwargs,want", PINNED, ids=[f"{n}-{'other' if kw else 'default'}" for n, kw, _ in PINNED])
+    def test_fields_and_callables_keep_their_bits(self, name, kwargs, want):
+        game = GAME_CATALOG[name](**kwargs)
+        assert game.name == name
+        # repr tells -0.0 from 0.0 and a float from an int, and round-trips
+        # every double, so equal reprs are equal bits
+        assert repr(_pinned_view(game)) == repr(want)
+
+
+class TestGameSpecChecks:
+    def _spec(self, **changes):
+        return dataclasses.replace(sign_drift(), **changes)
+
+    def test_dimensions_are_read_from_the_initial_law_and_action_box(self):
+        assert not {"dim", "action_dim"} & {f.name for f in dataclasses.fields(GameSpec)}
+        game = self._spec(initial=InitialLaw("point", [0.0, 1.0], [0.0, 0.0]), state_lo=[-1.0, -2.0],
+                          state_hi=[1.0, 2.0], action_lo=[-1.0, 0.0, 0.0], action_hi=[1.0, 1.0, 2.0])
+        assert (game.dim, game.action_dim) == (2, 3)
+
+    def test_state_box_must_match_the_initial_law(self):
+        with pytest.raises(ValueError, match=r"state_lo must have the initial law's shape \(1,\), got \(2,\)"):
+            self._spec(state_lo=[-1.0, -1.0])
+        with pytest.raises(ValueError, match=r"state_hi must have the initial law's shape \(2,\), got \(1,\)"):
+            self._spec(initial=InitialLaw("point", [0.0, 0.0], [0.0, 0.0]), state_lo=[-1.0, -1.0])
+
+    def test_action_bounds_must_share_one_shape(self):
+        with pytest.raises(ValueError, match=r"action_lo and action_hi must be vectors of one shape, got \(1,\) and \(2,\)"):
+            self._spec(action_hi=[1.0, 1.0])
+        with pytest.raises(ValueError, match=r"got \(1, 2\) and \(1, 2\)"):
+            self._spec(action_lo=[[-1.0, -1.0]], action_hi=[[1.0, 1.0]])
 
 
 class TestCatalog:

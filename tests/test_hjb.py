@@ -229,7 +229,7 @@ class TestEvaluatePayoff:
     def test_constant_terminal_reward_exact(self):
         law = InitialLaw("point", [0.0], [0.0])
         game = GameSpec(
-            name="unit_g", dim=1, action_dim=1, action_lo=[0.0], action_hi=[0.0],
+            name="unit_g", action_lo=[0.0], action_hi=[0.0],
             horizon=1.0, initial=law,
             drift=lambda t, x, m, a: np.zeros_like(x),
             running=lambda t, x, m, a: np.zeros(x.shape[0]),
@@ -353,7 +353,7 @@ def _planar_game():
         return x[..., 0] * m.mean[..., 1] + 0.3 * x[..., 0] * x[..., 1] - 0.05 * x[..., 1] ** 2
 
     return GameSpec(
-        name="planar", dim=2, action_dim=2, action_lo=[-1.0, -1.0], action_hi=[1.0, 1.0], horizon=0.5,
+        name="planar", action_lo=[-1.0, -1.0], action_hi=[1.0, 1.0], horizon=0.5,
         initial=InitialLaw("point", [0.0, 0.0], [0.0, 0.0]), drift=drift, running=running, terminal=terminal,
         drift_bound=1.2, running_bound=5.0, terminal_bound=10.0, state_lo=[-2.0, -3.0], state_hi=[2.0, 3.0],
     )
@@ -374,6 +374,10 @@ class TestMatchesPerAtomLoop:
         values, controls = _oracle_solve_hjb(game, flow, sg, ag, tie_tol, tie_break)
         assert np.array_equal(sol.value.values, values)
         assert np.array_equal(sol.control.values, controls)
+
+    def test_planar_dimensions_come_from_the_initial_law_and_action_box(self):
+        game = _planar_game()
+        assert (game.dim, game.action_dim) == (2, 2)
 
     @pytest.mark.parametrize("tie_break,tie_tol", CASES)
     def test_two_dimensional_game(self, tie_break, tie_tol):

@@ -194,10 +194,8 @@ class TestExploitability:
         game = sign_drift()
         tg = TimeGrid(1.0, 100)
         flow = candidate_flow(game, tg, tg.times, 4096, derive_seed(7, "flow"))
-        sgrid = stable_spatial_grid(game, tg)
-        agrid = default_action_grid(game)
         plus = ControlField.constant(tg, 1.0)
-        res = exploitability_estimate(game, flow, plus, n=64, reps=10, seed=3, sgrid=sgrid, agrid=agrid)
+        res = exploitability_estimate(game, flow, plus, n=64, reps=10, seed=3)
         assert res.gap == 0.0
         assert res.se_gap == 0.0
 

@@ -166,6 +166,40 @@ class TestMonotoneScenario:
         assert any(key.startswith("residuals init") for key in report.curves)
 
 
+class TestCountsRefusedUpFront:
+    """Scenario counts are refused by name before any simulation or solve."""
+
+    @pytest.fixture
+    def nothing_runs(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the scenario started running")
+
+        for name in ("chunk_inputs", "euler", "check_monotonicity", "candidate_flow", "picard_mfe"):
+            monkeypatch.setattr(scenarios, name, must_not_run)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_player": 0}, "n_player must be at least 1, got 0"),
+        ({"n_player": 2.5}, "n_player must be an int, got 2.5"),
+        ({"picard_particles": 0}, "picard_particles must be at least 1, got 0"),
+        ({"picard_particles": True}, "picard_particles must be an int, got True"),
+    ])
+    def test_monotone_uniqueness_counts(self, nothing_runs, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            run_monotone_uniqueness(**kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("runner", [run_sign_drift, run_mean_drift])
+    @pytest.mark.parametrize("reps,message", [
+        (0, "reps must be at least 1, got 0"),
+        (2.5, "reps must be an int, got 2.5"),
+        (True, "reps must be an int, got True"),
+    ])
+    def test_repetition_count(self, nothing_runs, runner, reps, message):
+        with pytest.raises(ValueError) as err:
+            runner(n_values=(8,), reps=reps, n_steps=10)
+        assert str(err.value) == message
+
+
 class TestBatchedRepetitions:
     """Repetitions stepped in chunks against the one-at-a-time oracle."""
 

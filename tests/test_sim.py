@@ -81,7 +81,7 @@ class TestNPlayer:
             return out
 
         game = GameSpec(
-            name="bad", dim=1, action_dim=1, action_lo=[0.0], action_hi=[0.0],
+            name="bad", action_lo=[0.0], action_hi=[0.0],
             horizon=1.0, initial=law, drift=bad_drift,
             running=lambda t, x, m, a: np.zeros(x.shape[0]),
             terminal=lambda x, m: np.zeros(x.shape[0]),
@@ -344,7 +344,7 @@ class TestBatchedEuler:
             return np.where(m.mean[..., :1] > 0.05, np.nan, 1.0) + 0.0 * x
 
         game = GameSpec(
-            name="bad", dim=1, action_dim=1, action_lo=[0.0], action_hi=[0.0],
+            name="bad", action_lo=[0.0], action_hi=[0.0],
             horizon=1.0, initial=law, drift=bad_drift,
             running=lambda t, x, m, a: np.zeros(x.shape[:-1]),
             terminal=lambda x, m: np.zeros(x.shape[:-1]),
@@ -491,7 +491,7 @@ def _oracle_relaxed_running(game, control, j, t, x, stats):
 def _two_action_game():
     """One state, two action coordinates: 16 atoms on a 4 x 4 action lattice."""
     return GameSpec(
-        name="two_action", dim=1, action_dim=2, action_lo=[-1.0, 0.0], action_hi=[1.0, 2.0], horizon=1.0,
+        name="two_action", action_lo=[-1.0, 0.0], action_hi=[1.0, 2.0], horizon=1.0,
         initial=InitialLaw("gaussian", [0.0], [1.0]),
         drift=lambda t, x, m, a: a[..., :1] - 0.5 * a[..., 1:] * np.tanh(x),
         running=lambda t, x, m, a: -a[..., 0] ** 2 + a[..., 1] * np.sin(x[..., 0]) * m.mean[..., 0],
@@ -501,6 +501,10 @@ def _two_action_game():
 
 
 class TestRelaxedAveragingMatchesPerAtomLoop:
+    def test_two_action_dimensions_come_from_the_initial_law_and_action_box(self):
+        game = _two_action_game()
+        assert (game.dim, game.action_dim) == (1, 2)
+
     @pytest.mark.parametrize("shape", [(1,), (37,), (3, 11)])
     @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square", "two_action"])
     def test_drift_and_running(self, name, shape):
