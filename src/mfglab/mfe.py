@@ -171,14 +171,16 @@ def same_law_baseline(
     """
     tgrid, n = flow.grid, flow.n_particles
     reps = positive_count(reps, "reps")
-    vals = []
-    for r in range(reps):
-        ens = []
-        for side in (0, 1):
-            bundle = sample_brownian(derive_seed(seed, "baseline", r, side), n, tgrid, game.dim)
-            x0 = initial_cloud(derive_seed(seed, "baseline-init", r, side), n, game.initial.sampler())
-            ens.append(EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0)))
-        vals.append(flow_distance(ens[0], ens[1]))
+
+    def sorted_side(r: int, side: int) -> np.ndarray:
+        # only the sorted slices outlive the call: the noise and the paths
+        # are freed before the other side is simulated
+        bundle = sample_brownian(derive_seed(seed, "baseline", r, side), n, tgrid, game.dim)
+        x0 = initial_cloud(derive_seed(seed, "baseline-init", r, side), n, game.initial.sampler())
+        return sorted_slices(EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0)))
+
+    # flow_distance of the two sides, as sorted_distance of their stacks
+    vals = [sorted_distance(sorted_side(r, 0), sorted_side(r, 1)) for r in range(reps)]
     return float(np.mean(vals))
 
 

@@ -126,12 +126,19 @@ def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -
     values = np.zeros((M, n_bins, 1))
     counts = np.zeros((M, n_bins), dtype=np.intp)
     fallback = np.zeros((M, n_bins), dtype=bool)
-    slice_means = drifts.mean(axis=0)  # (M, 1)
+    slice_means = np.empty((M, 1))
+    # each step's drifts are gathered into one contiguous buffer, so the
+    # pairwise slice sum and the bin totals have the same bits whether the
+    # drifts are time-major (recorded by a simulator) or particle-major (an
+    # array drift that integrate_paths aliases)
+    col = np.empty(n)
 
     for j in range(M):
+        np.copyto(col, drifts[:, j, 0])
+        slice_means[j, 0] = np.add.reduce(col) / n
         idx = _bin_index(edges, x[:, j])
         cnt = np.bincount(idx, minlength=n_bins)
-        tot = np.bincount(idx, weights=drifts[:, j, 0], minlength=n_bins)
+        tot = np.bincount(idx, weights=col, minlength=n_bins)
         counts[j] = cnt
         sparse = cnt < min_count
         fallback[j] = sparse

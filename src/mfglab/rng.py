@@ -124,6 +124,9 @@ def sample_brownian(
 ) -> BrownianBundle:
     """Draw a BrownianBundle; same (seed, n, M, dim, dt) gives identical bits.
 
+    seed is an int in [0, 2**64); a numpy integer draws the bits of the
+    Python int of its value, and any other type is refused.
+
     The increments are stored time-major: out, if given, is a C-contiguous
     float64 (M, n, dim) array that receives them and backs the bundle, so
     batched simulations can draw each repetition straight into its slot of a
@@ -134,6 +137,7 @@ def sample_brownian(
     particles of a bundle drawn over all streams, without drawing the rest.
     The default is range(n).
     """
+    seed = _seed_int(seed, "seed must be an int")
     n, dim = positive_count(n, "n"), positive_count(dim, "dim")
     if not 0 <= seed <= np.iinfo(np.uint64).max:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -161,6 +165,7 @@ def philox(seed: int, k: int) -> np.random.Generator:
     It draws the bits of a freshly constructed np.random.Philox(key=[seed, k]);
     every seeded generator in the package comes from here.
     """
+    seed, k = _seed_int(seed, "seed must be an int"), _seed_int(k, "k must be an int")
     return _PhiloxStreams().stream(seed, k)
 
 

@@ -14,10 +14,12 @@ per-step Python work is paid once per batch instead of once per repetition.
 Batched callers split their repetitions into chunks with rep_chunks() and
 draw each chunk's noise and initial clouds with chunk_inputs().
 
-Noise, states and drifts live in time-major memory, (M, ..., n, d) per
-repetition, so each Euler step reads and writes one contiguous slab; the
-documented particle-major shapes, (n, M, d) and (n, M+1, d), are swapaxes
-views of it.
+Noise, states and the drifts the simulators record live in time-major
+memory, (M, ..., n, d) per repetition, so each Euler step reads and writes
+one contiguous slab; the documented particle-major shapes, (n, M, d) and
+(n, M+1, d), are swapaxes views of it. The one exception is integrate_paths
+with an array drift: its drifts are a read-only view of the caller's array,
+which is not copied.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ _CHUNK_NOISE_BYTES = 16 << 20
 class ParticleEnsemble:
     """Simulated paths: states (n, M+1, d) on a shared TimeGrid.
 
-    The simulators here return states and drifts as views of time-major
-    (M+1, n, d) and (M, n, d) memory.
+    The simulators here return states as a view of time-major (M+1, n, d)
+    memory. Their drifts are a view of time-major (M, n, d) memory, except
+    under integrate_paths with an array drift, where they alias the
+    caller's array, read-only.
     """
 
     grid: TimeGrid
@@ -221,10 +225,12 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
 
     record="full" returns (states (..., n, M+1, d), drifts (..., n, M, d)),
     views of time-major (..., M+1, n, d) and (..., M, n, d) memory;
-    record="mean" returns only the particle-mean path (..., M+1, d) and
-    record="last" only the final states (..., n, d), so a batch needs no
-    more memory than its noise. first_rep is the number of the batch's
-    first repetition, used to name a repetition in errors.
+    record="paths" returns the states alone, laid out as under "full", and
+    writes every step's drift into one reused buffer, for callers that hold
+    the drifts already; record="mean" returns only the particle-mean path
+    (..., M+1, d) and record="last" only the final states (..., n, d), so a
+    batch needs no more memory than its noise. first_rep is the number of
+    the batch's first repetition, used to name a repetition in errors.
     """
     M = grid.n_steps
     if noise.shape[-2] != M or noise.shape[:-2] != init.shape[:-1] or noise.shape[-1] != init.shape[-1]:
@@ -232,9 +238,12 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     dt, times = grid.dt, grid.times
     _check_finite(init, "initial state", times[0], init, first_rep)
     dw = np.swapaxes(noise, -3, -2)  # (..., M, n, d)
-    if record == "full":
+    if record in ("full", "paths"):
         states = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-2:])
-        drifts = np.empty(dw.shape)
+        if record == "full":
+            drifts = np.empty(dw.shape)
+        else:
+            step = np.empty(init.shape)  # one drift buffer, reused by every step
         states[..., 0, :, :] = init
         x = states[..., 0, :, :]
     elif record in ("mean", "last"):
@@ -244,10 +253,12 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
         pair = np.empty((2,) + init.shape)  # the next states alternate between these
         x = init
     else:
-        raise ValueError(f"record must be 'full', 'mean' or 'last', got {record!r}")
+        raise ValueError(f"record must be 'full', 'paths', 'mean' or 'last', got {record!r}")
     for j in range(M):
         if record == "full":
             step, nxt = drifts[..., j, :, :], states[..., j + 1, :, :]
+        elif record == "paths":
+            nxt = states[..., j + 1, :, :]
         else:
             nxt = pair[j % 2]
             if record == "mean":
@@ -261,6 +272,8 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
         x = nxt
     if record == "full":
         return np.swapaxes(states, -3, -2), np.swapaxes(drifts, -3, -2)
+    if record == "paths":
+        return np.swapaxes(states, -3, -2)
     if record == "last":
         return x
     means[..., M, :] = np.add.reduce(x, axis=-2)
@@ -333,21 +346,30 @@ def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> Particle
     """Integrate exogenous drifts: an (n, M, d) array or a callable (j, x) -> (n, d).
 
     Used for processes whose drift is not a feedback, such as a random drift
-    attached to each particle.
+    attached to each particle. An array drift is read in place, one step's
+    column at a time, and the ensemble's drifts are a read-only view of it
+    (of the float64 copy np.asarray makes of any other input), so the
+    caller must not write into it while the ensemble is in use. A callable's
+    drifts are recorded in time-major memory, as the other simulators do.
     """
     n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
     init = _prep_init(init, n, d)
-    if not callable(drift):
+    if callable(drift):
+        def fill(j, x, out):
+            out[...] = drift(j, x)
+
+        states, drifts = euler(fill, bundle.increments, init, bundle.grid)
+    else:
         table = np.asarray(drift, dtype=float)
         if table.shape != (n, M, d):
             raise ValueError(f"drift array must be ({n}, {M}, {d}), got {table.shape}")
-        table = np.ascontiguousarray(np.swapaxes(table, 0, 1))  # (M, n, d): one slab per step
-        drift = lambda j, x: table[j]
 
-    def fill(j, x, out):
-        out[...] = drift(j, x)
+        def fill(j, x, out):
+            out[...] = table[:, j]
 
-    states, drifts = euler(fill, bundle.increments, init, bundle.grid)
+        states = euler(fill, bundle.increments, init, bundle.grid, record="paths")
+        drifts = table.view()
+        drifts.flags.writeable = False
     return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts)
 
 

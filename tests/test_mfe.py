@@ -226,6 +226,28 @@ class TestConsistency:
         assert b_big > 0.0
         assert b_big < b_small
 
+    def test_baseline_matches_the_two_flow_loop(self):
+        def oracle(game, flow, control, seed, reps):
+            # same_law_baseline as it stood: both sides' flows held at once,
+            # compared by flow_distance
+            tgrid, n = flow.grid, flow.n_particles
+            vals = []
+            for r in range(reps):
+                ens = []
+                for side in (0, 1):
+                    bundle = sample_brownian(derive_seed(seed, "baseline", r, side), n, tgrid, game.dim)
+                    x0 = initial_cloud(derive_seed(seed, "baseline-init", r, side), n, game.initial.sampler())
+                    ens.append(EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0)))
+                vals.append(flow_distance(ens[0], ens[1]))
+            return float(np.mean(vals))
+
+        game = monotone_lq()
+        tg = TimeGrid(1.0, 40)
+        flow = _ramp_init(game, tg, 0.5, n=1024)
+        control = solve_hjb(game, flow, stable_spatial_grid(game, tg), default_action_grid(game)).control
+        for seed, reps in ((3, 3), (4, 1), (5, 4)):
+            assert same_law_baseline(game, flow, control, seed=seed, reps=reps) == oracle(game, flow, control, seed, reps)
+
     @pytest.mark.parametrize("bad", [0, -1, False, 1.0])
     def test_baseline_refuses_bad_reps(self, bad):
         game = sign_drift()

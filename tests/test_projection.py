@@ -130,8 +130,9 @@ class TestProjectDrift:
         assert np.array_equal(table.bin_of(keys), _searchsorted_bins(table.edges, keys))
 
     def test_slice_means_match_a_particle_major_sum(self):
-        # the drifts are time-major, so the slice means sum over a contiguous
-        # axis, pairwise; a particle-major sum may differ in the last bits only
+        # each step's drifts are gathered into a contiguous column and summed
+        # pairwise; a sum down the particle axis of the (n, M, 1) table adds
+        # the particles in sequence, and may differ in the last bits only
         tg = TimeGrid(1.0, 30)
         n = 5000
         drift = np.random.default_rng(derive_seed(1, "random-drift")).normal(size=(n, tg.n_steps, 1))
@@ -142,6 +143,21 @@ class TestProjectDrift:
         assert np.abs(table.slice_means - oracle).max() <= 1e-12
         assert table.fallback.any()
         assert np.abs(table.values[table.fallback] - np.broadcast_to(oracle[:, None], table.values.shape)[table.fallback]).max() <= 1e-12
+
+    def test_particle_major_and_time_major_drifts_give_the_same_table(self):
+        # an array drift's ensemble aliases the particle-major table; the
+        # simulators record time-major drifts; project_drift reads both alike
+        tg = TimeGrid(1.0, 30)
+        n = 5000
+        drift = np.random.default_rng(derive_seed(2, "random-drift")).normal(size=(n, tg.n_steps, 1)) ** 3
+        ens = integrate_paths(drift, sample_brownian(derive_seed(2, "w"), n, tg, 1), np.zeros((n, 1)))
+        assert np.shares_memory(ens.drifts, drift) and ens.drifts.flags.c_contiguous
+        time_major = np.swapaxes(np.ascontiguousarray(np.swapaxes(ens.drifts, 0, 1)), 0, 1)
+        a = project_drift(ens, bins=25, min_count=150)
+        b = project_drift(dataclasses.replace(ens, drifts=time_major), bins=25, min_count=150)
+        assert a.fallback.any() and not a.fallback.all()
+        for name in ("values", "slice_means", "counts", "fallback"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_constant_drift_recovered(self):
         tg = TimeGrid(1.0, 40)

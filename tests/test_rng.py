@@ -150,6 +150,18 @@ class TestSampleBrownian:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sample_brownian(1, args["n"], TimeGrid(1.0, 4), args["dim"])
 
+    @pytest.mark.parametrize("seed", [3.7, 3.0, True, False, None, "3", np.float64(3.0), np.bool_(True)])
+    def test_non_int_seeds_are_refused_by_name(self, seed):
+        with pytest.raises(TypeError, match=r"^seed must be an int, got "):
+            sample_brownian(seed, 4, TimeGrid(1.0, 5))
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.int32(7), np.uint64(7), np.uint8(7), np.uint64(2**64 - 1)])
+    def test_numpy_int_seeds_draw_the_python_int_bits(self, seed):
+        tg = TimeGrid(1.0, 6)
+        bundle = sample_brownian(seed, 5, tg, 2)
+        assert np.array_equal(bundle.increments, sample_brownian(int(seed), 5, tg, 2).increments)
+        assert type(bundle.seed) is int and bundle.seed == int(seed)
+
     def test_numpy_counts_are_accepted(self):
         bundle = sample_brownian(1, np.int64(3), TimeGrid(1.0, 4), np.int32(1))
         assert np.array_equal(bundle.increments, sample_brownian(1, 3, TimeGrid(1.0, 4), 1).increments)
@@ -255,6 +267,17 @@ class TestPhiloxStreams:
     def test_raw_words_match_a_fresh_philox(self, seed, k):
         fresh = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
         assert np.array_equal(philox(seed, k).bit_generator.random_raw(41), fresh.random_raw(41))
+
+    @pytest.mark.parametrize("seed,k,what", [(3.7, 0, "seed"), (True, 0, "seed"), (None, 0, "seed"),
+                                             (3, 0.5, "k"), (3, False, "k"), (3, np.float64(1.0), "k")])
+    def test_non_int_keys_are_refused_by_name(self, seed, k, what):
+        with pytest.raises(TypeError, match=rf"^{what} must be an int, got "):
+            philox(seed, k)
+
+    def test_numpy_int_keys_draw_the_python_int_bits(self):
+        for seed, k in ((np.int64(7), np.uint8(3)), (np.uint64(2**64 - 1), np.int32(0))):
+            fresh = _fresh_stream(int(seed), int(k))
+            assert np.array_equal(philox(seed, k).bit_generator.random_raw(9), fresh.bit_generator.random_raw(9))
 
     def test_each_call_starts_the_stream_afresh(self):
         first = philox(5, 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -452,6 +454,10 @@ class TestTimeMajorEulerMatchesParticleMajorLoop:
             for record in ("mean", "last"):
                 got = euler(drift, noise, init, tg, record=record)
                 assert np.array_equal(got, _oracle_euler(drift, np.ascontiguousarray(noise), init, tg, record)), (name, record)
+            # "paths" keeps the states of "full" and records no drifts
+            paths = euler(drift, noise, init, tg, record="paths")
+            assert np.array_equal(paths, states), name
+            assert np.swapaxes(paths, -3, -2).flags.c_contiguous, name
 
     def test_records_view_time_major_memory(self):
         game = sign_drift()
@@ -462,6 +468,49 @@ class TestTimeMajorEulerMatchesParticleMajorLoop:
         assert ens.states.shape == (20, 16, 1) and ens.drifts.shape == (20, 15, 1)
         assert np.swapaxes(ens.states, 0, 1).flags.c_contiguous
         assert np.swapaxes(ens.drifts, 0, 1).flags.c_contiguous
+
+
+class TestArrayDriftIsReadInPlace:
+    """integrate_paths holds an array drift once: its ensemble's drifts are
+    the caller's table, not a copy."""
+
+    def _inputs(self, n=2000, M=100, d=1):
+        tg = TimeGrid(1.0, M)
+        bundle = sample_brownian(derive_seed(4, "w"), n, tg, d)
+        init = np.random.default_rng(derive_seed(4, "x0")).normal(size=(n, d))
+        table = np.random.default_rng(derive_seed(4, "drift")).normal(size=(n, M, d))
+        return table, bundle, init
+
+    def test_drifts_alias_the_callers_table_read_only(self):
+        table, bundle, init = self._inputs(d=2)
+        expect = table.copy()
+        ens = integrate_paths(table, bundle, init)
+        assert np.shares_memory(ens.drifts, table)
+        assert not ens.drifts.flags.writeable
+        assert table.flags.writeable
+        assert np.array_equal(ens.drifts, expect)
+        with pytest.raises(ValueError, match="read-only"):
+            ens.drifts[0, 0, 0] = 1.0
+
+    def test_other_inputs_alias_their_float_copy(self):
+        table, bundle, init = self._inputs(n=30, M=12)
+        ints = np.rint(4.0 * table).astype(np.int64)
+        ens = integrate_paths(ints, bundle, init)
+        assert ens.drifts.dtype == np.float64 and not ens.drifts.flags.writeable
+        assert not np.shares_memory(ens.drifts, ints)
+        assert np.array_equal(ens.drifts, ints)
+        _same_bits(integrate_paths(ints.tolist(), bundle, init), _oracle_integrate(ints.astype(float), bundle, init))
+
+    def test_allocates_nothing_of_drift_size(self):
+        table, bundle, init = self._inputs()
+        tracemalloc.start()
+        try:
+            ens = integrate_paths(table, bundle, init)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the states, (n, M+1, d), are the one array of that size made
+        assert ens.states.nbytes <= peak < ens.states.nbytes + table.nbytes // 4
 
 
 # The relaxed branches of control_drift and control_running as they stood,
