@@ -18,7 +18,7 @@ from .controls import ControlField
 from .games import GameSpec
 from .grids import TimeGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
-from .measures import EmpiricalFlow, flow_distance, sorted_distance, sorted_slices
+from .measures import EmpiricalFlow, sorted_distance, sorted_slices
 from .rng import derive_seed, initial_cloud, philox, sample_brownian
 from .sim import simulate_frozen_flow
 
@@ -117,14 +117,16 @@ def picard_mfe(
         x0 = initial_cloud(derive_seed(seed, "picard-init", k), n, game.initial.sampler())[take_new]
         samples[:, :n_new] = np.swapaxes(simulate_frozen_flow(game, control, flow, bundle, x0).states, 0, 1)
         np.take(flow.samples, take_old, axis=1, out=samples[:, n_new:], mode="clip")
-        mixed = EmpiricalFlow(tgrid, samples)
+        # the noise and the old flow are freed before the sort (init_flow
+        # itself stays the caller's)
+        del bundle
+        flow = EmpiricalFlow(tgrid, samples)
 
-        mixed_sorted = sorted_slices(mixed)
+        mixed_sorted = sorted_slices(flow)
         residuals.append(sorted_distance(flow_sorted, mixed_sorted))
         flow_sorted = mixed_sorted
-        endpoints.append(float(mixed.mean_path()[-1, 0]))
+        endpoints.append(float(flow.mean_path()[-1, 0]))
         log.info("picard iteration %d: residual %.6g, mean endpoint %.6g", k, residuals[-1], endpoints[-1])
-        flow = mixed
         if residuals[-1] <= tol:
             converged = True
             break
@@ -133,6 +135,18 @@ def picard_mfe(
     # refresh the feedback against the flow actually returned
     control = solve_hjb(game, flow, sgrid, agrid, tie_tol=indifference).control
     return PicardResult(flow=flow, control=control, residuals=residuals, converged=converged, iterations=k, mean_endpoints=endpoints)
+
+
+def _sorted_fresh_cloud(game: GameSpec, flow: EmpiricalFlow, control: ControlField, seed: int, label: str, *key) -> np.ndarray:
+    """Sorted slices (M+1, n) of a fresh cloud of the flow's size under control,
+    drawn from the seeds of (seed, label, *key) and (seed, label-init, *key).
+    Only they outlive the call: the noise is freed before the sort."""
+    tgrid, n = flow.grid, flow.n_particles
+    bundle = sample_brownian(derive_seed(seed, label, *key), n, tgrid, game.dim)
+    x0 = initial_cloud(derive_seed(seed, f"{label}-init", *key), n, game.initial.sampler())
+    fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
+    del bundle
+    return sorted_slices(fresh)
 
 
 def consistency_residual(
@@ -148,11 +162,9 @@ def consistency_residual(
     Zero residual (up to sampling noise) is the fixed-point property; compare
     against same_law_baseline to judge what the noise floor is.
     """
-    tgrid, n = flow.grid, flow.n_particles
-    bundle = sample_brownian(derive_seed(seed, "consistency"), n, tgrid, game.dim)
-    x0 = initial_cloud(derive_seed(seed, "consistency-init"), n, game.initial.sampler())
-    fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
-    return flow_distance(flow, fresh)
+    fresh = _sorted_fresh_cloud(game, flow, control, seed, "consistency")
+    # flow_distance(flow, fresh), as sorted_distance of their stacks
+    return sorted_distance(sorted_slices(flow), fresh)
 
 
 def same_law_baseline(
@@ -169,15 +181,10 @@ def same_law_baseline(
     This is the Monte Carlo resolution limit: a consistency residual cannot
     be expected to fall below it.
     """
-    tgrid, n = flow.grid, flow.n_particles
     reps = positive_count(reps, "reps")
 
     def sorted_side(r: int, side: int) -> np.ndarray:
-        # only the sorted slices outlive the call: the noise and the paths
-        # are freed before the other side is simulated
-        bundle = sample_brownian(derive_seed(seed, "baseline", r, side), n, tgrid, game.dim)
-        x0 = initial_cloud(derive_seed(seed, "baseline-init", r, side), n, game.initial.sampler())
-        return sorted_slices(EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0)))
+        return _sorted_fresh_cloud(game, flow, control, seed, "baseline", r, side)
 
     # flow_distance of the two sides, as sorted_distance of their stacks
     vals = [sorted_distance(sorted_side(r, 0), sorted_side(r, 1)) for r in range(reps)]

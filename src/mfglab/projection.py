@@ -1,11 +1,11 @@
 """Markovian projection: binned conditional drift and the mimicking diffusion.
 
-Given paths X and their realized per-step drifts, the projected drift at
-(t_j, bin) is the average drift over particles sitting in that bin at t_j,
-the histogram estimate of E[drift | X_t = x]. Integrating the projected
-drift with fresh noise gives a Markov process whose time marginals track
-those of X; joint laws are not preserved, which the path autocovariance gap
-makes visible.
+Given paths X and their per-step drifts (the array drift integrate_paths
+integrated them with), the projected drift at (t_j, bin) is the average
+drift over particles sitting in that bin at t_j, the histogram estimate of
+E[drift | X_t = x]. Integrating the projected drift with fresh noise gives a
+Markov process whose time marginals track those of X; joint laws are not
+preserved, which the path autocovariance gap makes visible.
 """
 
 from __future__ import annotations
@@ -86,7 +86,10 @@ class DriftTable:
 
 
 def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -> DriftTable:
-    """Bin-average the ensemble's realized drifts into a Markovian drift table.
+    """Bin-average the ensemble's drifts into a Markovian drift table.
+
+    The ensemble must carry its drift samples, as integrate_paths with an
+    array drift returns it; the simulators record no drifts.
 
     bins is a positive int count (equal-width over the pooled state range) or
     an explicit edge array. Bins holding fewer than min_count particles fall
@@ -96,7 +99,7 @@ def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -
     """
     drifts = ensemble.drifts
     if drifts is None:
-        raise ValueError("ensemble carries no drift samples")
+        raise ValueError("ensemble carries no drift samples; project_drift needs integrate_paths with an array drift")
     if isinstance(min_count, bool) or not isinstance(min_count, (int, np.integer)) or min_count < 0:
         raise ValueError(f"min_count must be an int >= 0, got {min_count!r}")
     if ensemble.dim != 1:
@@ -128,9 +131,9 @@ def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -
     fallback = np.zeros((M, n_bins), dtype=bool)
     slice_means = np.empty((M, 1))
     # each step's drifts are gathered into one contiguous buffer, so the
-    # pairwise slice sum and the bin totals have the same bits whether the
-    # drifts are time-major (recorded by a simulator) or particle-major (an
-    # array drift that integrate_paths aliases)
+    # pairwise slice sum and the bin totals have the same bits whatever the
+    # layout of the caller's table: particle-major (n, M, 1) memory or a
+    # view of time-major (M, n, 1) memory
     col = np.empty(n)
 
     for j in range(M):

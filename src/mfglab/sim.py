@@ -4,8 +4,8 @@ Conventions shared by every simulator here:
   * uniform grid, unit diffusion, increments supplied by a BrownianBundle
     (or, batched, by bundles stacked along a leading repetition axis);
   * coefficients are evaluated with the measure statistics at the step start;
-  * realized per-step drifts are recorded so change-of-measure weights and
-    drift projections can be formed after the fact.
+  * only the states are kept: each step's drift is written into one reused
+    buffer, and no simulator records the drifts it computed.
 
 All of them step through one loop, euler(), over states shaped (..., n, d):
 the public simulators pass a single system (no leading axis), and batched
@@ -14,12 +14,11 @@ per-step Python work is paid once per batch instead of once per repetition.
 Batched callers split their repetitions into chunks with rep_chunks() and
 draw each chunk's noise and initial clouds with chunk_inputs().
 
-Noise, states and the drifts the simulators record live in time-major
-memory, (M, ..., n, d) per repetition, so each Euler step reads and writes
-one contiguous slab; the documented particle-major shapes, (n, M, d) and
-(n, M+1, d), are swapaxes views of it. The one exception is integrate_paths
-with an array drift: its drifts are a read-only view of the caller's array,
-which is not copied.
+Noise and states live in time-major memory, (M, ..., n, d) per repetition,
+so each Euler step reads and writes one contiguous slab; the documented
+particle-major shapes, (n, M, d) and (n, M+1, d), are swapaxes views of it.
+An ensemble carries drifts only when integrate_paths was given an array
+drift: they are a read-only view of the caller's array, which is not copied.
 """
 
 from __future__ import annotations
@@ -45,15 +44,15 @@ class ParticleEnsemble:
     """Simulated paths: states (n, M+1, d) on a shared TimeGrid.
 
     The simulators here return states as a view of time-major (M+1, n, d)
-    memory. Their drifts are a view of time-major (M, n, d) memory, except
-    under integrate_paths with an array drift, where they alias the
-    caller's array, read-only.
+    memory. drifts is set only by integrate_paths with an array drift, and
+    is then the caller's own (n, M, d) array, read-only; every other
+    ensemble has drifts None.
     """
 
     grid: TimeGrid
     states: np.ndarray
     bundle: BrownianBundle | None = None
-    drifts: np.ndarray | None = None  # (n, M, d) realized drift per step
+    drifts: np.ndarray | None = None  # (n, M, d) array drift integrate_paths was given
 
     @property
     def n(self) -> int:
@@ -212,7 +211,7 @@ def chunk_inputs(game: GameSpec, chunk: range, n: int, grid: TimeGrid, seed: int
     return np.swapaxes(noise, 1, 2), x0
 
 
-def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: str = "full", first_rep: int = 0):
+def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: str = "paths", first_rep: int = 0):
     """The Euler loop: x_{j+1} = x_j + b_j dt + dW_j over states shaped (..., n, d).
 
     noise holds the increments, shaped (..., n, M, d), and init the starting
@@ -220,44 +219,36 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     repetitions. Each step reads noise[..., :, j, :], which is one contiguous
     slab when noise is a view of time-major (..., M, n, d) memory, as
     sample_brownian and chunk_inputs draw it. drift(j, x, out) writes the
-    drift at step j for states x into out, shaped like x; the initial states
+    drift at step j for states x into out, one buffer shaped like x that
+    every step reuses, so no drift outlives its step; the initial states
     and every step's drifts are checked for non-finite values.
 
-    record="full" returns (states (..., n, M+1, d), drifts (..., n, M, d)),
-    views of time-major (..., M+1, n, d) and (..., M, n, d) memory;
-    record="paths" returns the states alone, laid out as under "full", and
-    writes every step's drift into one reused buffer, for callers that hold
-    the drifts already; record="mean" returns only the particle-mean path
-    (..., M+1, d) and record="last" only the final states (..., n, d), so a
-    batch needs no more memory than its noise. first_rep is the number of
-    the batch's first repetition, used to name a repetition in errors.
+    record="paths" returns the states (..., n, M+1, d), a view of time-major
+    (..., M+1, n, d) memory; record="mean" returns only the particle-mean
+    path (..., M+1, d) and record="last" only the final states (..., n, d),
+    so a batch needs no more memory than its noise. first_rep is the number
+    of the batch's first repetition, used to name a repetition in errors.
     """
+    if record not in ("paths", "mean", "last"):
+        raise ValueError(f"record must be 'paths', 'mean' or 'last', got {record!r}")
     M = grid.n_steps
     if noise.shape[-2] != M or noise.shape[:-2] != init.shape[:-1] or noise.shape[-1] != init.shape[-1]:
         raise ValueError(f"noise {noise.shape} does not fit initial states {init.shape} on {M} steps")
     dt, times = grid.dt, grid.times
     _check_finite(init, "initial state", times[0], init, first_rep)
     dw = np.swapaxes(noise, -3, -2)  # (..., M, n, d)
-    if record in ("full", "paths"):
+    if record == "paths":
         states = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-2:])
-        if record == "full":
-            drifts = np.empty(dw.shape)
-        else:
-            step = np.empty(init.shape)  # one drift buffer, reused by every step
         states[..., 0, :, :] = init
         x = states[..., 0, :, :]
-    elif record in ("mean", "last"):
+    else:
         if record == "mean":
             means = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-1:])
-        step = np.empty(init.shape)
         pair = np.empty((2,) + init.shape)  # the next states alternate between these
         x = init
-    else:
-        raise ValueError(f"record must be 'full', 'paths', 'mean' or 'last', got {record!r}")
+    step = np.empty(init.shape)  # the one drift buffer
     for j in range(M):
-        if record == "full":
-            step, nxt = drifts[..., j, :, :], states[..., j + 1, :, :]
-        elif record == "paths":
+        if record == "paths":
             nxt = states[..., j + 1, :, :]
         else:
             nxt = pair[j % 2]
@@ -270,8 +261,6 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
         np.add(x, nxt, out=nxt)
         np.add(nxt, dw[..., j, :, :], out=nxt)
         x = nxt
-    if record == "full":
-        return np.swapaxes(states, -3, -2), np.swapaxes(drifts, -3, -2)
     if record == "paths":
         return np.swapaxes(states, -3, -2)
     if record == "last":
@@ -318,8 +307,7 @@ def simulate_nplayer(game: GameSpec, feedbacks, bundle: BrownianBundle, init: np
     _check_bundle(game, bundle)
     init = _prep_init(init, bundle.n, bundle.dim)
     drift = nplayer_drift(game, feedbacks, bundle.grid, bundle.n)
-    states, drifts = euler(drift, bundle.increments, init, bundle.grid)
-    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts)
+    return ParticleEnsemble(grid=bundle.grid, states=euler(drift, bundle.increments, init, bundle.grid), bundle=bundle)
 
 
 def simulate_frozen_flow(game: GameSpec, control: ControlField, flow, bundle: BrownianBundle, init: np.ndarray) -> ParticleEnsemble:
@@ -338,8 +326,7 @@ def simulate_frozen_flow(game: GameSpec, control: ControlField, flow, bundle: Br
     def drift(j, x, out):
         out[...] = control_drift(game, control, j, times[j], x, stats_path[j])
 
-    states, drifts = euler(drift, bundle.increments, init, bundle.grid)
-    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts)
+    return ParticleEnsemble(grid=bundle.grid, states=euler(drift, bundle.increments, init, bundle.grid), bundle=bundle)
 
 
 def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> ParticleEnsemble:
@@ -350,15 +337,14 @@ def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> Particle
     column at a time, and the ensemble's drifts are a read-only view of it
     (of the float64 copy np.asarray makes of any other input), so the
     caller must not write into it while the ensemble is in use. A callable's
-    drifts are recorded in time-major memory, as the other simulators do.
+    drifts are not recorded: its ensemble has drifts None.
     """
     n, M, d = bundle.n, bundle.grid.n_steps, bundle.dim
     init = _prep_init(init, n, d)
+    drifts = None
     if callable(drift):
         def fill(j, x, out):
             out[...] = drift(j, x)
-
-        states, drifts = euler(fill, bundle.increments, init, bundle.grid)
     else:
         table = np.asarray(drift, dtype=float)
         if table.shape != (n, M, d):
@@ -367,9 +353,9 @@ def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> Particle
         def fill(j, x, out):
             out[...] = table[:, j]
 
-        states = euler(fill, bundle.increments, init, bundle.grid, record="paths")
         drifts = table.view()
         drifts.flags.writeable = False
+    states = euler(fill, bundle.increments, init, bundle.grid)
     return ParticleEnsemble(grid=bundle.grid, states=states, bundle=bundle, drifts=drifts)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,12 +249,73 @@ class TestConsistency:
         for seed, reps in ((3, 3), (4, 1), (5, 4)):
             assert same_law_baseline(game, flow, control, seed=seed, reps=reps) == oracle(game, flow, control, seed, reps)
 
+    def test_residual_matches_the_flow_distance(self):
+        def oracle(game, flow, control, seed):
+            # consistency_residual as it stood: the fresh flow and its noise
+            # held while flow_distance sorts both flows
+            tgrid, n = flow.grid, flow.n_particles
+            bundle = sample_brownian(derive_seed(seed, "consistency"), n, tgrid, game.dim)
+            x0 = initial_cloud(derive_seed(seed, "consistency-init"), n, game.initial.sampler())
+            return flow_distance(flow, EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0)))
+
+        game = monotone_lq()
+        tg = TimeGrid(1.0, 40)
+        flow = _ramp_init(game, tg, 0.5, n=1024)
+        control = solve_hjb(game, flow, stable_spatial_grid(game, tg), default_action_grid(game)).control
+        for seed in (3, 4):
+            assert consistency_residual(game, flow, control, seed=seed) == oracle(game, flow, control, seed)
+
     @pytest.mark.parametrize("bad", [0, -1, False, 1.0])
     def test_baseline_refuses_bad_reps(self, bad):
         game = sign_drift()
         tg = TimeGrid(1.0, 10)
         with pytest.raises(ValueError, match="reps"):
             same_law_baseline(game, _ramp_init(game, tg, 0.0, n=16), ControlField.constant(tg, 0.0), reps=bad)
+
+
+def _peak_in_stacks(run, flow):
+    """tracemalloc peak of run() in units of one (M+1, n) stack of flow."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / flow.samples.nbytes
+
+
+class TestCertificatePeaks:
+    """Each fresh cloud is reduced to its sorted slices as soon as it is
+    simulated, and its noise is freed before the sort."""
+
+    TG = TimeGrid(1.0, 50)
+
+    def _inputs(self):
+        game = monotone_lq()
+        flow = _ramp_init(game, self.TG, 0.5, n=4000)
+        flow.stats_path()  # cached by the flow: not part of either peak
+        return game, flow, ControlField.constant(self.TG, 0.25)
+
+    def test_consistency_residual_holds_under_three_stacks(self):
+        # noise and paths, then paths and their sort, then the two sorted
+        # stacks: two at a time; with the noise held through both sorts, four
+        game, flow, control = self._inputs()
+        assert _peak_in_stacks(lambda: consistency_residual(game, flow, control, seed=5), flow) < 3.0
+
+    def test_same_law_baseline_holds_one_sorted_side_and_one_simulation(self):
+        # the first side's sorted stack, then the second side's noise and
+        # paths: three stacks and the per-step temporaries; with the noise
+        # held through the sort, four
+        game, flow, control = self._inputs()
+        assert _peak_in_stacks(lambda: same_law_baseline(game, flow, control, seed=5), flow) < 3.25
+
+    def test_picard_frees_the_old_flow_before_sorting_the_mix(self):
+        # from the second iteration: the old flow, its sorted stack, the mix
+        # and the half-size noise and paths of the fresh particles, four
+        # stacks; the old flow and the noise held through the sort add half
+        # a stack
+        game, flow, _ = self._inputs()
+        assert _peak_in_stacks(lambda: picard_mfe(game, flow, tol=0.0, max_iter=2, seed=4), flow) < 4.4
 
 
 class TestMonotonicity:

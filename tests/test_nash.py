@@ -103,7 +103,6 @@ class TestGirsanovWeights:
             grid=ens.grid,
             states=ens.states[perm],
             bundle=BrownianBundle(seed=bundle.seed, grid=tg, n=n, dim=1, increments=bundle.increments[perm]),
-            drifts=None if ens.drifts is None else ens.drifts[perm],
         )
         w_p = girsanov_weights(game, ens_p, flow, [old[k] for k in perm], new)
         assert np.array_equal(w_p.terminal, w.terminal[perm])

@@ -34,6 +34,18 @@ def _posterior_mean_oracle(x, t):
     return (up - dn) / (up + dn)
 
 
+def _recorder(drift):
+    """A drift callable for integrate_paths, and the list that gets a copy of
+    what it returns at each step."""
+    steps = []
+
+    def recording(j, x):
+        steps.append(np.array(drift(j, x), dtype=float))
+        return steps[-1]
+
+    return recording, steps
+
+
 def _searchsorted_bins(edges, x):
     """The bin rule as np.searchsorted states it, the oracle for _bin_index."""
     return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
@@ -191,7 +203,11 @@ class TestProjectDrift:
         n = 5000
         bundle = sample_brownian(derive_seed(2, "clip"), n, tg, 1)
         ens = integrate_paths(lambda j, x: np.clip(x, -1.0, 1.0), bundle, np.zeros((n, 1)))
-        table = project_drift(ens, bins=30)
+        # a callable's drifts are not kept; recomputed from the states at the
+        # step starts, they step the same paths as the callable did
+        drifts = np.clip(ens.states[:, :-1, :], -1.0, 1.0)
+        assert np.array_equal(integrate_paths(drifts, bundle, np.zeros((n, 1))).states, ens.states)
+        table = project_drift(dataclasses.replace(ens, drifts=drifts), bins=30)
         centers = 0.5 * (table.edges[:-1] + table.edges[1:])
         half = 0.5 * np.diff(table.edges).max()
         populated = (table.counts >= 30) & ~table.fallback
@@ -266,11 +282,20 @@ class TestProjectDrift:
         tg = TimeGrid(1.0, 20)
         ens = _coin_paths(100, tg, seed=8)
         bare = dataclasses.replace(ens, drifts=None)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ensemble carries no drift samples"):
             project_drift(bare)
         misshapen = dataclasses.replace(ens, drifts=np.zeros((100, 7, 1)))
         with pytest.raises(ValueError, match=r"drift samples must be \(100, 20, 1\), got \(100, 7, 1\)"):
             project_drift(misshapen)
+
+    def test_callable_driven_ensemble_is_refused_by_name(self):
+        tg = TimeGrid(1.0, 20)
+        bundle = sample_brownian(derive_seed(8, "clip"), 100, tg, 1)
+        ens = integrate_paths(lambda j, x: np.clip(x, -1.0, 1.0), bundle, np.zeros((100, 1)))
+        assert ens.drifts is None
+        message = "ensemble carries no drift samples; project_drift needs integrate_paths with an array drift"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_drift(ens)
 
     def test_multidimensional_states_rejected(self):
         tg = TimeGrid(1.0, 10)
@@ -300,10 +325,13 @@ class TestMimic:
         table = project_drift(ens, bins=40)
         fresh = sample_brownian(derive_seed(14, "mimic-w"), n, tg, 1)
         init = np.zeros((n, 1))
-        mim = integrate_paths(lambda j, y: table.drift_at(j, y), fresh, init)
-        oracle = integrate_paths(lambda j, y: table.values[j, _searchsorted_bins(table.edges, y[:, 0]), :], fresh, init)
+        lookup, looked_up = _recorder(lambda j, y: table.drift_at(j, y))
+        searched, oracle_drifts = _recorder(lambda j, y: table.values[j, _searchsorted_bins(table.edges, y[:, 0]), :])
+        mim = integrate_paths(lookup, fresh, init)
+        oracle = integrate_paths(searched, fresh, init)
         assert np.array_equal(mim.states, oracle.states)
-        assert np.array_equal(mim.drifts, oracle.drifts)
+        assert len(looked_up) == tg.n_steps
+        assert np.array_equal(np.stack(looked_up, axis=1), np.stack(oracle_drifts, axis=1))
         dist = mimic_and_compare(table, init, fresh)
         want = [wasserstein1_1d(oracle.states[:, j, 0], ens.states[:, j, 0]) for j in range(tg.n_steps + 1)]
         assert np.array_equal(dist, want)

@@ -17,6 +17,7 @@ from mfglab.games import (
 )
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.measures import DeterministicFlow, EmpiricalFlow
+from mfglab import sim
 from mfglab.relaxed import constant_relaxed
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
 from mfglab.sim import (
@@ -40,13 +41,48 @@ def _setup(game, n, n_steps, seed=0):
     return tg, bundle, x0
 
 
+def _recorder(drift):
+    """drift for euler(), and the list that gets a copy of out after each
+    of its steps."""
+    steps = []
+
+    def recording(j, x, out):
+        drift(j, x, out)
+        steps.append(out.copy())
+
+    return recording, steps
+
+
+def _stacked(steps):
+    """Recorded per-step drifts (..., n, d) as one (..., n, M, d) array."""
+    return np.stack(steps, axis=-2)
+
+
+@pytest.fixture
+def drift_log(monkeypatch):
+    """The drifts of every later sim.euler call, one list of per-step copies
+    per call: the simulators' drift callable is handed on inside a recorder,
+    so each step's drift is seen as the loop stepped with it."""
+    runs = []
+    real = sim.euler
+
+    def recording_euler(drift, *args, **kwargs):
+        recording, steps = _recorder(drift)
+        runs.append(steps)
+        return real(recording, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "euler", recording_euler)
+    return runs
+
+
 class TestNPlayer:
-    def test_driftless_paths_are_exact_brownian(self):
+    def test_driftless_paths_are_exact_brownian(self, drift_log):
         game = driftless()
         tg, bundle, x0 = _setup(game, 32, 25)
         ens = simulate_nplayer(game, ControlField.constant(tg, 0.0), bundle, x0)
         assert np.array_equal(ens.states, x0[:, None, :] + bundle.partial_sums())
-        assert np.all(ens.drifts == 0.0)
+        assert ens.drifts is None
+        assert np.all(_stacked(drift_log[-1]) == 0.0) and len(drift_log[-1]) == 25
 
     def test_constant_drift_matches_closed_form(self):
         game = tracking_lq()
@@ -234,51 +270,64 @@ def _oracle_integrate(drift, bundle, init):
     return states, drifts
 
 
-def _same_bits(ens, oracle):
-    states, drifts = oracle
+def _same_bits(ens, drifts, oracle):
+    """ens's states and the drifts it was stepped with, against the oracle's."""
+    states, expect = oracle
     assert np.array_equal(ens.states, states)
-    assert np.array_equal(ens.drifts, drifts)
+    assert np.array_equal(drifts, expect)
 
 
 class TestWrappersMatchPreMergeLoops:
+    """The simulators keep no drifts; the ones they stepped with are
+    recorded by drift_log and held to the oracle's bits."""
+
     @pytest.mark.parametrize("n", [1, 7, 256])
-    def test_nplayer_shared_field(self, n):
+    def test_nplayer_shared_field(self, n, drift_log):
         game = sign_drift()
         tg, bundle, x0 = _setup(game, n, 60, seed=n)
         fb = sign_of_mean(tg, start=0.2)
-        _same_bits(simulate_nplayer(game, fb, bundle, x0), _oracle_nplayer(game, fb, bundle, x0))
+        ens = simulate_nplayer(game, fb, bundle, x0)
+        _same_bits(ens, _stacked(drift_log[-1]), _oracle_nplayer(game, fb, bundle, x0))
+        assert ens.drifts is None
 
-    def test_nplayer_mean_interaction(self):
+    def test_nplayer_mean_interaction(self, drift_log):
         game = mean_drift(profile="linear", x0=1.0)
         tg, bundle, x0 = _setup(game, 100, 80, seed=5)
         fb = sign_of_mean(tg, start=2.0)
-        _same_bits(simulate_nplayer(game, fb, bundle, x0), _oracle_nplayer(game, fb, bundle, x0))
+        ens = simulate_nplayer(game, fb, bundle, x0)
+        _same_bits(ens, _stacked(drift_log[-1]), _oracle_nplayer(game, fb, bundle, x0))
 
-    def test_nplayer_per_player_family(self):
+    def test_nplayer_per_player_family(self, drift_log):
         game = sign_drift()
         tg, bundle, x0 = _setup(game, 9, 40, seed=2)
         fields = [sign_of_mean(tg), sign_of_state(tg, start=0.1), ControlField.constant(tg, -0.3)]
         family = [fields[k % 3] for k in range(9)]
-        _same_bits(simulate_nplayer(game, family, bundle, x0), _oracle_nplayer(game, family, bundle, x0))
+        ens = simulate_nplayer(game, family, bundle, x0)
+        _same_bits(ens, _stacked(drift_log[-1]), _oracle_nplayer(game, family, bundle, x0))
 
-    def test_frozen_flow_analytic_and_relaxed(self):
+    def test_frozen_flow_analytic_and_relaxed(self, drift_log):
         game = action_square(reward_sign=1.0)
         tg, bundle, x0 = _setup(game, 50, 30, seed=3)
         flow = DeterministicFlow(tg, 0.5 * tg.times)
         ag = ActionGrid(np.array([-1.0]), np.array([1.0]), 3)
         rows = np.random.default_rng(0).dirichlet(np.ones(3), size=30)
         for control in (sign_of_mean(tg), constant_relaxed(tg, ag, rows)):
-            _same_bits(simulate_frozen_flow(game, control, flow, bundle, x0),
-                       _oracle_frozen(game, control, flow, bundle, x0))
+            ens = simulate_frozen_flow(game, control, flow, bundle, x0)
+            _same_bits(ens, _stacked(drift_log[-1]), _oracle_frozen(game, control, flow, bundle, x0))
+            assert ens.drifts is None
 
-    def test_integrate_paths_array_and_callable(self):
+    def test_integrate_paths_array_and_callable(self, drift_log):
         tg = TimeGrid(1.0, 25)
         bundle = sample_brownian(11, 30, tg, 2)
         init = np.random.default_rng(1).normal(size=(30, 2))
         table = np.random.default_rng(2).normal(size=(30, 25, 2))
-        _same_bits(integrate_paths(table, bundle, init), _oracle_integrate(table, bundle, init))
+        ens = integrate_paths(table, bundle, init)
+        _same_bits(ens, ens.drifts, _oracle_integrate(table, bundle, init))
+        _same_bits(ens, _stacked(drift_log[-1]), _oracle_integrate(table, bundle, init))
         fn = lambda j, x: np.tanh(x) * (j % 3)
-        _same_bits(integrate_paths(fn, bundle, init), _oracle_integrate(fn, bundle, init))
+        ens = integrate_paths(fn, bundle, init)
+        _same_bits(ens, _stacked(drift_log[-1]), _oracle_integrate(fn, bundle, init))
+        assert ens.drifts is None
 
 
 def _batch(game, n, n_steps, reps, seed=0):
@@ -290,27 +339,29 @@ def _batch(game, n, n_steps, reps, seed=0):
 
 class TestBatchedEuler:
     @pytest.mark.parametrize("profile", ["sign", "linear"])
-    def test_batch_steps_each_repetition_as_alone(self, profile):
+    def test_batch_steps_each_repetition_as_alone(self, profile, drift_log):
         # stepped together, each repetition still sees only its own cloud
         game = mean_drift(profile=profile, x0=0.0)
         tg, bundles, inits = _batch(game, 64, 50, 3)
         drift = nplayer_drift(game, sign_of_mean(tg, start=2.0), tg, 64)
         noise = np.stack([b.increments for b in bundles])
-        states, drifts = euler(drift, noise, np.stack(inits), tg)
+        recording, steps = _recorder(drift)
+        states = euler(recording, noise, np.stack(inits), tg)
+        drifts = _stacked(steps)
         means = euler(drift, noise, np.stack(inits), tg, record="mean")
-        assert means.shape == (3, 51, 1)
+        assert means.shape == (3, 51, 1) and drifts.shape == (3, 64, 50, 1)
         for r in range(3):
             alone = simulate_nplayer(game, sign_of_mean(tg, start=2.0), bundles[r], inits[r])
             assert np.array_equal(states[r], alone.states)
-            assert np.array_equal(drifts[r], alone.drifts)
+            assert np.array_equal(drifts[r], _stacked(drift_log[-1]))
             assert np.allclose(means[r], alone.states.mean(axis=0), rtol=0.0, atol=1e-12)
 
     def test_sign_feedback_batch_matches_single_runs(self):
         game = sign_drift()
         tg, bundles, inits = _batch(game, 33, 40, 4, seed=8)
         fb = sign_of_mean(tg)
-        states, _ = euler(nplayer_drift(game, fb, tg, 33), np.stack([b.increments for b in bundles]),
-                          np.stack(inits), tg)
+        states = euler(nplayer_drift(game, fb, tg, 33), np.stack([b.increments for b in bundles]),
+                       np.stack(inits), tg)
         for r in range(4):
             assert np.array_equal(states[r], simulate_nplayer(game, fb, bundles[r], inits[r]).states)
 
@@ -323,6 +374,15 @@ class TestBatchedEuler:
             euler(fill, np.zeros((2, 3, 5, 1)), np.zeros((3, 3, 1)), tg)
         with pytest.raises(ValueError):
             euler(fill, np.zeros((2, 3, 5, 1)), np.zeros((2, 3, 1)), tg, record="states")
+
+    def test_full_record_is_refused_with_the_valid_values(self):
+        # the drifts are no longer recorded; a drift callable that wants
+        # them keeps a copy of out itself
+        def fill(j, x, out):
+            raise AssertionError("the record mode must be checked before the first step")
+
+        with pytest.raises(ValueError, match=r"^record must be 'paths', 'mean' or 'last', got 'full'$"):
+            euler(fill, np.zeros((2, 3, 5, 1)), np.zeros((2, 3, 1)), TimeGrid(1.0, 5), record="full")
 
     def test_non_finite_drift_names_time_repetition_particle_state(self):
         tg = TimeGrid(1.0, 10)
@@ -380,7 +440,7 @@ class TestNonFiniteInitialStates:
         with pytest.raises(FloatingPointError, match=r"initial state .* t=0, particle 5, state \[-inf\]"):
             integrate_paths(np.zeros((64, 50, 1)), bundle, x0)
 
-    @pytest.mark.parametrize("record", ["full", "mean", "last"])
+    @pytest.mark.parametrize("record", ["paths", "mean", "last"])
     def test_batched_names_the_repetition(self, record):
         tg = TimeGrid(1.0, 10)
         x0 = np.zeros((3, 5, 2))
@@ -393,12 +453,13 @@ class TestNonFiniteInitialStates:
             euler(fill, np.zeros((3, 5, 10, 2)), x0, tg, record=record, first_rep=7)
 
 
-def _oracle_euler(drift, noise, init, grid, record="full"):
-    """euler() as it stood with particle-major memory: states (..., n, M+1, d)."""
+def _oracle_euler(drift, noise, init, grid, record="paths"):
+    """euler() as it stood with particle-major memory: under "paths", the
+    states (..., n, M+1, d) and the drifts (..., n, M, d) it stepped with."""
     M = grid.n_steps
     dt, times = grid.dt, grid.times
     lead = init.shape[:-1]
-    if record == "full":
+    if record == "paths":
         states = np.empty(lead + (M + 1,) + init.shape[-1:])
         drifts = np.empty(noise.shape)
         states[..., 0, :] = init
@@ -408,15 +469,15 @@ def _oracle_euler(drift, noise, init, grid, record="full"):
         step = np.empty(init.shape)
     x = init
     for j in range(M):
-        if record == "full":
+        if record == "paths":
             step = drifts[..., j, :]
         elif record == "mean":
             means[..., j, :] = np.add.reduce(x, axis=-2)
         drift(j, x, step)
         x = x + step * dt + noise[..., j, :]
-        if record == "full":
+        if record == "paths":
             states[..., j + 1, :] = x
-    if record == "full":
+    if record == "paths":
         return states, drifts
     if record == "last":
         return x
@@ -445,19 +506,17 @@ class TestTimeMajorEulerMatchesParticleMajorLoop:
         # a particle-major noise array steps to the same bits
         yield "particle_major_noise", two_dim, np.ascontiguousarray(bundle.increments), init, tg2
 
-    def test_full_mean_and_last_records(self):
+    def test_paths_mean_and_last_records(self):
         for name, drift, noise, init, tg in self._cases():
-            states, drifts = euler(drift, noise, init, tg)
+            recording, steps = _recorder(drift)
+            states = euler(recording, noise, init, tg)
             expect_states, expect_drifts = _oracle_euler(drift, np.ascontiguousarray(noise), init, tg)
             assert np.array_equal(states, expect_states), name
-            assert np.array_equal(drifts, expect_drifts), name
+            assert np.array_equal(_stacked(steps), expect_drifts), name
+            assert np.swapaxes(states, -3, -2).flags.c_contiguous, name
             for record in ("mean", "last"):
                 got = euler(drift, noise, init, tg, record=record)
                 assert np.array_equal(got, _oracle_euler(drift, np.ascontiguousarray(noise), init, tg, record)), (name, record)
-            # "paths" keeps the states of "full" and records no drifts
-            paths = euler(drift, noise, init, tg, record="paths")
-            assert np.array_equal(paths, states), name
-            assert np.swapaxes(paths, -3, -2).flags.c_contiguous, name
 
     def test_records_view_time_major_memory(self):
         game = sign_drift()
@@ -465,9 +524,17 @@ class TestTimeMajorEulerMatchesParticleMajorLoop:
         noise, _ = chunk_inputs(game, range(2), 20, tg, 1, ("w", "x0"))
         assert noise.shape == (2, 20, 15, 1) and np.swapaxes(noise, 1, 2).flags.c_contiguous
         ens = simulate_nplayer(game, sign_of_mean(tg), bundle, x0)
-        assert ens.states.shape == (20, 16, 1) and ens.drifts.shape == (20, 15, 1)
+        assert ens.states.shape == (20, 16, 1) and ens.drifts is None
         assert np.swapaxes(ens.states, 0, 1).flags.c_contiguous
-        assert np.swapaxes(ens.drifts, 0, 1).flags.c_contiguous
+        # every step writes its drift into the same (n, d) buffer
+        buffers = []
+
+        def fill(j, x, out):
+            buffers.append(out)
+            out.fill(0.0)
+
+        euler(fill, bundle.increments, x0, tg)
+        assert len(buffers) == 15 and all(b is buffers[0] for b in buffers) and buffers[0].shape == (20, 1)
 
 
 class TestArrayDriftIsReadInPlace:
@@ -499,7 +566,8 @@ class TestArrayDriftIsReadInPlace:
         assert ens.drifts.dtype == np.float64 and not ens.drifts.flags.writeable
         assert not np.shares_memory(ens.drifts, ints)
         assert np.array_equal(ens.drifts, ints)
-        _same_bits(integrate_paths(ints.tolist(), bundle, init), _oracle_integrate(ints.astype(float), bundle, init))
+        ens = integrate_paths(ints.tolist(), bundle, init)
+        _same_bits(ens, ens.drifts, _oracle_integrate(ints.astype(float), bundle, init))
 
     def test_allocates_nothing_of_drift_size(self):
         table, bundle, init = self._inputs()
@@ -511,6 +579,43 @@ class TestArrayDriftIsReadInPlace:
             tracemalloc.stop()
         # the states, (n, M+1, d), are the one array of that size made
         assert ens.states.nbytes <= peak < ens.states.nbytes + table.nbytes // 4
+
+
+class TestSimulatorsRecordNoDrifts:
+    """The simulators keep the states and one reused drift buffer: no array
+    of drift size is made, and their ensembles carry drifts None."""
+
+    N, M = 2000, 100
+
+    def _peak_holds_states_alone(self, run):
+        tracemalloc.start()
+        try:
+            ens = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        drift_bytes = self.N * self.M * 8
+        assert ens.drifts is None
+        assert ens.states.nbytes <= peak < ens.states.nbytes + drift_bytes // 4
+
+    def test_nplayer(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, self.N, self.M)
+        fb = sign_of_mean(tg, start=0.2)
+        self._peak_holds_states_alone(lambda: simulate_nplayer(game, fb, bundle, x0))
+
+    def test_frozen_flow(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, self.N, self.M)
+        flow = DeterministicFlow(tg, 0.5 * tg.times)
+        fb = sign_of_mean(tg)
+        self._peak_holds_states_alone(lambda: simulate_frozen_flow(game, fb, flow, bundle, x0))
+
+    def test_integrate_paths_with_a_callable(self):
+        tg = TimeGrid(1.0, self.M)
+        bundle = sample_brownian(derive_seed(5, "w"), self.N, tg, 1)
+        init = np.zeros((self.N, 1))
+        self._peak_holds_states_alone(lambda: integrate_paths(lambda j, x: np.tanh(x) * j, bundle, init))
 
 
 # The relaxed branches of control_drift and control_running as they stood,
