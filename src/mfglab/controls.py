@@ -94,15 +94,16 @@ class ControlField:
     @classmethod
     def constant(cls, tgrid, a0, name="") -> "ControlField":
         a0 = np.atleast_1d(np.asarray(a0, dtype=float))
-        return cls.analytic(tgrid, lambda t, x, stats: np.tile(a0, x.shape[:-1] + (1,)), name=name or f"constant[{a0.tolist()}]")
+        return cls.analytic(tgrid, lambda t, x, stats: np.full(x.shape[:-1] + a0.shape, a0), name=name or f"constant[{a0.tolist()}]")
 
 
 def sign_of_mean(tgrid: TimeGrid, start: float = 0.0) -> ControlField:
     """Drift with the sign of the population mean once t > start; sign(0) = 0."""
 
     def func(t, x, stats):
-        a = np.sign(stats.mean[..., 0, None]) if t > start else 0.0
-        return np.full(x.shape[:-1] + (1,), a)
+        a = np.empty(x.shape[:-1] + (1,))  # np.full's bits, without its wrapper: it runs once per Euler step
+        a[...] = np.sign(stats.mean[..., 0, None]) if t > start else 0.0
+        return a
 
     return ControlField.analytic(tgrid, func, name=f"sign_of_mean[start={start}]")
 

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 
-@dataclass(frozen=True)
 class MeasureStats:
     """Summary statistics of a probability measure on R^d, or of a batch of them.
 
@@ -23,10 +22,40 @@ class MeasureStats:
     from clouds shaped (R, n, d), has them shaped (R, 1, d), so they broadcast
     against per-particle arrays (R, n, ...); coefficients read the first
     coordinate as mean[..., 0] and work either way.
+
+    MeasureStats(mean=, var=) holds the values it is given. from_cloud
+    computes the mean at once and the variance only when var is first read,
+    from the cloud it was given, which must therefore not be written in
+    between; no catalog coefficient reads the variance, so a simulation step
+    pays for the mean alone. The values are those of np.mean and np.var
+    either way. Instances are immutable.
     """
 
-    mean: np.ndarray  # (d,) or (R, 1, d)
-    var: np.ndarray   # per-coordinate variance, shaped like mean
+    __slots__ = ("mean", "_var", "_cloud")
+
+    def __init__(self, mean: np.ndarray, var: np.ndarray):
+        object.__setattr__(self, "mean", mean)  # (d,) or (R, 1, d)
+        object.__setattr__(self, "_var", var)  # per-coordinate variance, shaped like mean
+        object.__setattr__(self, "_cloud", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MeasureStats is immutable: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"MeasureStats(mean={self.mean!r}, var={self.var!r})"
+
+    def __reduce__(self):  # copies and pickles are rebuilt from the values
+        return (MeasureStats, (self.mean, self.var))
+
+    @property
+    def var(self) -> np.ndarray:
+        if self._var is None:
+            cloud = self._cloud
+            dev = cloud - self.mean
+            var = np.add.reduce(np.square(dev, out=dev), axis=-2, keepdims=cloud.ndim == 3) / cloud.shape[-2]
+            object.__setattr__(self, "_var", var)
+            object.__setattr__(self, "_cloud", None)
+        return self._var
 
     @classmethod
     def from_cloud(cls, cloud: np.ndarray) -> "MeasureStats":
@@ -35,13 +64,10 @@ class MeasureStats:
             raise ValueError(f"cloud must be (n, d) or (R, n, d), got shape {cloud.shape}")
         # the ufunc calls np.mean and np.var make, spelled out: same bits,
         # without their per-call overhead, which matters once per Euler step
-        n = cloud.shape[-2]
-        mean = np.add.reduce(cloud, axis=-2, keepdims=True) / n
-        dev = cloud - mean
-        var = np.add.reduce(np.square(dev, out=dev), axis=-2, keepdims=True) / n
-        if cloud.ndim == 2:
-            return cls(mean=mean[0], var=var[0])
-        return cls(mean=mean, var=var)
+        mean = np.add.reduce(cloud, axis=-2, keepdims=cloud.ndim == 3) / cloud.shape[-2]
+        stats = cls(mean, None)
+        object.__setattr__(stats, "_cloud", cloud)
+        return stats
 
     @classmethod
     def point(cls, x) -> "MeasureStats":
@@ -237,12 +263,17 @@ def monotone_lq(horizon: float = 1.0, action_cost: float = 0.5) -> GameSpec:
     )
 
 
+def _clip8(m):
+    """m clipped to [-8, 8], NaN kept: the bits of np.clip without its wrapper."""
+    return np.minimum(np.maximum(m, -8.0), 8.0)
+
+
 _MEAN_DRIFT_PROFILES = {
     # bounded interaction drifts B(mean); "linear" is clipped far outside the
     # region any mean path can reach, so it is Lipschitz and bounded at once
-    "linear": (lambda m, s: -np.clip(m, -8.0, 8.0) * s, 8.0),
+    "linear": (lambda m, s: -_clip8(m) * s, 8.0),
     "sign": (lambda m, s: np.sign(m) * s, 1.0),
-    "sqrt": (lambda m, s: np.sign(m) * np.sqrt(np.abs(np.clip(m, -8.0, 8.0))) * s, np.sqrt(8.0)),
+    "sqrt": (lambda m, s: np.sign(m) * np.sqrt(np.abs(_clip8(m))) * s, np.sqrt(8.0)),
     "zero": (lambda m, s: np.zeros_like(m), 0.0),
 }
 

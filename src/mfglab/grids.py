@@ -101,10 +101,17 @@ class SpatialGrid:
         """Round points (..., d) to the nearest node, clipping to the box.
 
         Returns a tuple of d integer index arrays suitable for fancy indexing.
+        A coordinate is clipped while still a float, so huge and infinite
+        ones land on the edge node they lie beyond, and NaN, as in
+        projection's binning, counts as above every node and lands on the
+        last. Ties at half-spacing round to the even node, as np.rint does.
         """
-        x = np.asarray(x, dtype=float)
-        idx = np.rint((x - self.lo) / self.spacing).astype(np.intp)
-        np.clip(idx, 0, self.n_nodes - 1, out=idx)
+        u = np.subtract(x, self.lo)
+        np.divide(u, self.spacing, out=u)
+        np.rint(u, out=u)
+        np.fmin(u, self.n_nodes - 1, out=u)  # fmin sends NaN to the last node
+        np.maximum(u, 0.0, out=u)
+        idx = u.astype(np.intp)
         return tuple(idx[..., i] for i in range(self.dim))
 
 

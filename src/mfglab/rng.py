@@ -19,9 +19,9 @@ from .grids import TimeGrid, positive_count
 _MASK63 = (1 << 63) - 1
 
 # Per-particle streams are drawn into a particle-major block of at most this
-# many bytes and transposed into the time-major increments: numpy refuses a
-# strided out=, and one particle at a time would transpose at a cache miss
-# per value.
+# many bytes, scaled there and copied transposed into the time-major
+# increments: numpy refuses a strided out=, and one particle at a time would
+# transpose at a cache miss per value.
 _NOISE_BLOCK_BYTES = 1 << 20
 
 
@@ -91,18 +91,28 @@ class _PhiloxStreams:
 
     Re-keying sets the key and zeroes the counter and buffers, which is the
     state a freshly constructed np.random.Philox(key=[seed, k]) starts in, at
-    a fraction of the construction cost.
+    a fraction of the construction cost. The state is one dict of Python ints
+    and lists, laid out as numpy's own Philox state, built once; a stream
+    swaps in only its key list, so numpy's setter reads plain ints instead
+    of numpy scalars and nothing else is built per stream.
     """
 
     def __init__(self):
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state  # taken before any draw: buffers empty
-        self._key = np.zeros(2, dtype=np.uint64)
+        # counter zero and buffers empty: the state of a generator before its first draw
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._keyed = self._state["state"]
 
     def stream(self, seed: int, k: int) -> np.random.Generator:
-        self._key[0], self._key[1] = seed, k
-        self._state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": self._key}
+        self._keyed["key"] = [seed, k]
         self._bitgen.state = self._state
         return self._gen
 
@@ -148,14 +158,19 @@ def sample_brownian(
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 {shape} array, got {out.dtype} {out.shape}")
-    streams = _PhiloxStreams()
+    stream = _PhiloxStreams().stream
     scale = np.sqrt(grid.dt)
     block = np.empty((min(n, max(1, _NOISE_BLOCK_BYTES // (M * dim * 8))), M, dim))
-    for k0 in range(0, n, block.shape[0]):
-        k1 = min(k0 + block.shape[0], n)
-        for row, k in enumerate(particles[k0:k1]):
-            streams.stream(seed, k).standard_normal(out=block[row])
-        np.multiply(np.swapaxes(block[: k1 - k0], 0, 1), scale, out=out[:, k0:k1])
+    rows = list(block)  # one view per row, built once
+    for k0 in range(0, n, len(rows)):
+        k1 = min(k0 + len(rows), n)
+        for row, k in zip(rows, particles[k0:k1]):
+            stream(seed, k).standard_normal(out=row)
+        # scaled in place while contiguous, then transposed by a plain copy:
+        # the bits of a transposing multiply, at about two thirds of its cost
+        drawn = block[: k1 - k0]
+        drawn *= scale
+        out[:, k0:k1] = np.swapaxes(drawn, 0, 1)
     return BrownianBundle(seed=seed, grid=grid, n=n, dim=dim, increments=np.swapaxes(out, 0, 1))
 
 

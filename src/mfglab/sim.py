@@ -5,14 +5,20 @@ Conventions shared by every simulator here:
     (or, batched, by bundles stacked along a leading repetition axis);
   * coefficients are evaluated with the measure statistics at the step start;
   * only the states are kept: each step's drift is written into one reused
-    buffer, and no simulator records the drifts it computed.
+    buffer, and no simulator records the drifts it computed;
+  * no cloud is written after it is handed to a drift, so statistics taken
+    from it stay valid: MeasureStats.from_cloud computes the variance only
+    when it is first read, and no catalog coefficient reads it.
 
 All of them step through one loop, euler(), over states shaped (..., n, d):
 the public simulators pass a single system (no leading axis), and batched
 callers pass R independent repetitions at once, shaped (R, n, d), so the
 per-step Python work is paid once per batch instead of once per repetition.
 Batched callers split their repetitions into chunks with rep_chunks() and
-draw each chunk's noise and initial clouds with chunk_inputs().
+draw each chunk's noise and initial clouds with chunk_inputs(). A family of
+feedbacks is grouped by field; a group of consecutive players reads its
+states as a slice view, and one pure or analytic field shared by every
+player is called directly, without the group machinery.
 
 Noise and states live in time-major memory, (M, ..., n, d) per repetition,
 so each Euler step reads and writes one contiguous slab; the documented
@@ -23,6 +29,7 @@ drift: they are a read-only view of the caller's array, which is not copied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +76,13 @@ def _check_finite(values: np.ndarray, what: str, t: float, x: np.ndarray, first_
     With a leading repetition axis the message names the repetition, counted
     from first_rep.
     """
-    if not np.isfinite(values).all():
-        bad = ~np.isfinite(values)
+    # a cheap screen, run once per Euler step: a sum of squares is finite
+    # only if every entry is; when it is not, an entry is non-finite or the
+    # sum overflowed, and the entries themselves decide
+    if math.isfinite(np.vdot(values, values)):
+        return
+    bad = ~np.isfinite(values)
+    if bad.any():
         lead = x.shape[:-1]
         where = tuple(int(i) for i in np.argwhere(bad.reshape(lead + (-1,)).any(axis=-1))[0])
         rep = f"repetition {first_rep + where[0]}, " if len(where) > 1 else ""
@@ -163,18 +175,24 @@ def reward_at(game: GameSpec, control: ControlField, j: int, t: float, x: np.nda
 
 
 def _feedback_groups(feedbacks, n: int):
-    """Normalize a shared field or a length-n family into (field, indices) groups."""
+    """Normalize a shared field or a length-n family into (field, indices) groups.
+
+    A family is grouped by field, in order of first appearance. A group whose
+    players form one contiguous run is indexed by a slice, so its states are
+    read as a view rather than gathered; other groups get an index array.
+    """
     if isinstance(feedbacks, ControlField):
         return [(feedbacks, slice(None))]
     fields = list(feedbacks)
     if len(fields) != n:
         raise ValueError(f"need one feedback per player: got {len(fields)} for n={n}")
-    groups = []
     seen: dict = {}
     for k, f in enumerate(fields):
         seen.setdefault(id(f), (f, []))[1].append(k)
+    groups = []
     for f, idx in seen.values():
-        groups.append((f, np.asarray(idx, dtype=np.intp)))
+        contiguous = idx[-1] - idx[0] == len(idx) - 1
+        groups.append((f, slice(idx[0], idx[-1] + 1) if contiguous else np.asarray(idx, dtype=np.intp)))
     return groups
 
 
@@ -221,7 +239,10 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     sample_brownian and chunk_inputs draw it. drift(j, x, out) writes the
     drift at step j for states x into out, one buffer shaped like x that
     every step reuses, so no drift outlives its step; the initial states
-    and every step's drifts are checked for non-finite values.
+    and every step's drifts are checked for non-finite values. The states x
+    a drift is handed are never written afterwards, whatever the record:
+    each step writes a fresh array, so statistics taken from x (whose
+    variance MeasureStats computes only when read) stay valid after the step.
 
     record="paths" returns the states (..., n, M+1, d), a view of time-major
     (..., M+1, n, d) memory; record="mean" returns only the particle-mean
@@ -244,16 +265,15 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     else:
         if record == "mean":
             means = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-1:])
-        pair = np.empty((2,) + init.shape)  # the next states alternate between these
         x = init
     step = np.empty(init.shape)  # the one drift buffer
     for j in range(M):
         if record == "paths":
             nxt = states[..., j + 1, :, :]
         else:
-            nxt = pair[j % 2]
+            nxt = np.empty(init.shape)  # fresh: statistics of an earlier x may still read it
             if record == "mean":
-                means[..., j, :] = np.add.reduce(x, axis=-2)
+                np.add.reduce(x, axis=-2, out=means[..., j, :])
         drift(j, x, step)
         _check_finite(step, "drift", times[j], x, first_rep)
         # x + step * dt + dW, in that order, written straight into the next states
@@ -265,7 +285,7 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
         return np.swapaxes(states, -3, -2)
     if record == "last":
         return x
-    means[..., M, :] = np.add.reduce(x, axis=-2)
+    np.add.reduce(x, axis=-2, out=means[..., M, :])
     means /= init.shape[-2]  # sums to means, the division np.mean makes
     return means
 
@@ -279,6 +299,15 @@ def nplayer_drift(game: GameSpec, feedbacks, grid: TimeGrid, n: int):
     """
     groups = _feedback_groups(feedbacks, n)
     times = grid.times
+    if len(groups) == 1 and not groups[0][0].is_relaxed:
+        # one pure or analytic field for every player: its drift, with no group hops
+        coef, actions = game.drift, groups[0][0].actions
+
+        def drift(j, x, out):
+            t, stats = times[j], MeasureStats.from_cloud(x)
+            out[...] = coef(t, x, stats, actions(j, t, x, stats))
+
+        return drift
 
     def drift(j, x, out):
         group_drift(game, groups, j, times[j], x, MeasureStats.from_cloud(x), out)

@@ -19,6 +19,17 @@ class TestConstantAndAnalytic:
         assert a.shape == (6, 1)
         assert np.all(a == 0.7)
 
+    @pytest.mark.parametrize("a0", [0.7, [-0.0], [1.0, -2.5]])
+    @pytest.mark.parametrize("shape", [(6, 1), (3, 6, 1), (4, 2)])
+    def test_constant_has_the_bits_of_a_tile(self, a0, shape):
+        # np.full replaced np.tile(a0, x.shape[:-1] + (1,))
+        f = ControlField.constant(_tg(), a0)
+        x = np.zeros(shape)
+        a = f.actions(3, 0.3, x, None)
+        tiled = np.tile(np.atleast_1d(np.asarray(a0, dtype=float)), x.shape[:-1] + (1,))
+        assert a.shape == tiled.shape and a.flags.writeable
+        assert np.array_equal(a.view(np.int64), tiled.view(np.int64))
+
     def test_analytic_receives_time_and_stats(self):
         seen = {}
 

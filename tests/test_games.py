@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
+from mfglab import games
 from mfglab.games import (
     GAME_CATALOG,
     GameSpec,
@@ -281,6 +284,56 @@ class TestMeasureStats:
             MeasureStats.from_cloud(np.zeros(4))
         with pytest.raises(ValueError):
             MeasureStats.from_cloud(np.zeros((2, 3, 4, 1)))
+
+    def test_given_values_are_kept_and_stats_are_immutable(self):
+        mean, var = np.array([0.4]), np.array([0.2])
+        s = MeasureStats(mean=mean, var=var)
+        assert s.mean is mean and s.var is var
+        for name in ("mean", "var"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, np.zeros(1))
+        assert repr(s) == "MeasureStats(mean=array([0.4]), var=array([0.2]))"
+
+    def test_copies_and_pickles_keep_the_values(self):
+        s = MeasureStats.from_cloud(np.random.default_rng(2).normal(size=(3, 50, 2)))
+        for twin in (copy.deepcopy(s), copy.copy(s), pickle.loads(pickle.dumps(s))):
+            assert np.array_equal(twin.mean, s.mean) and np.array_equal(twin.var, s.var)
+
+    @pytest.mark.parametrize("shape", [(7, 1), (3, 300, 2)])
+    def test_variance_read_later_has_the_bits_of_one_read_at_once(self, shape):
+        # from_cloud takes the variance from its cloud when var is first read
+        cloud = np.random.default_rng(5).normal(size=shape)
+        eager = cloud.var(axis=-2, keepdims=len(shape) == 3)
+        s = MeasureStats.from_cloud(cloud)
+        assert np.array_equal(s.var, eager)
+        assert s.var is s.var  # computed once
+
+
+class TestMeanDriftClip:
+    """The profiles clip the mean with np.minimum and np.maximum instead of
+    np.clip: the same bits, NaN, infinities and signed zeros included."""
+
+    M = np.array([np.nan, -np.nan, np.inf, -np.inf, 8.0, -8.0, np.nextafter(8.0, 9.0), -9.5, 1e300,
+                  0.0, -0.0, 2.5, -7.999, 5e-324])
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=float).view(np.int64)
+
+    def test_clip_has_the_bits_of_np_clip(self):
+        assert np.array_equal(self._bits(games._clip8(self.M)), self._bits(np.clip(self.M, -8.0, 8.0)))
+        batched = self.M.reshape(2, 7, 1)
+        assert np.array_equal(self._bits(games._clip8(batched)), self._bits(np.clip(batched, -8.0, 8.0)))
+
+    @pytest.mark.parametrize("profile,old", [
+        ("linear", lambda m, s: -np.clip(m, -8.0, 8.0) * s),
+        ("sqrt", lambda m, s: np.sign(m) * np.sqrt(np.abs(np.clip(m, -8.0, 8.0))) * s),
+    ])
+    def test_profiles_keep_their_bits(self, profile, old):
+        B, _ = games._MEAN_DRIFT_PROFILES[profile]
+        with np.errstate(invalid="ignore"):
+            for scale in (1.0, -2.5):
+                assert np.array_equal(self._bits(B(self.M, scale)), self._bits(old(self.M, scale)))
 
 
 class TestCoefficientsBroadcastOverBatches:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,34 @@ class TestSpatialGrid:
         idx = sg.nearest_index(np.array([[-10.0], [10.0]]))
         assert idx[0][0] == 0
         assert idx[0][1] == 4
+
+    def test_huge_infinite_and_nan_states_land_on_an_edge_node(self):
+        # clipped as floats: a cast first sent 1e19, 1e300 and +inf to node 0
+        sg = SpatialGrid(np.array([-2.0]), np.array([2.0]), 5)
+        x = np.array([1e19, 1e300, np.inf, -1e19, -1e300, -np.inf, np.nan])[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (idx,) = sg.nearest_index(x)
+        assert idx.tolist() == [4, 4, 4, 0, 0, 0, 4]
+
+    @pytest.mark.parametrize("lo,hi,n_nodes", [([-2.0], [2.0], 5), ([-7.0], [7.0], 141), ([-2.0, 0.0], [2.0, 1.0], 9)])
+    def test_in_range_indices_keep_the_bits_of_the_cast_then_clip(self, lo, hi, n_nodes):
+        sg = SpatialGrid(np.array(lo), np.array(hi), n_nodes)
+        h = sg.spacing
+        k = np.arange(-3, n_nodes + 3)[:, None]
+        # nodes, half-spacing ties, their neighbours one ulp away, the box
+        # edges and just past them, and a spread of ordinary states
+        x = np.concatenate([
+            sg.lo + k * h, sg.lo + (k + 0.5) * h,
+            np.nextafter(sg.lo + (k + 0.5) * h, np.inf), np.nextafter(sg.lo + (k + 0.5) * h, -np.inf),
+            np.stack([sg.lo, sg.hi, np.nextafter(sg.lo, -np.inf), np.nextafter(sg.hi, np.inf)]),
+            np.random.default_rng(n_nodes).uniform(sg.lo - 3 * h, sg.hi + 3 * h, size=(500, sg.dim)),
+        ])
+        old = np.clip(np.rint((x - sg.lo) / h).astype(np.intp), 0, n_nodes - 1)
+        got = sg.nearest_index(x)
+        for i in range(sg.dim):
+            assert got[i].dtype == np.intp
+            assert np.array_equal(got[i], old[:, i])
 
     def test_spacing(self):
         sg = SpatialGrid(np.array([0.0]), np.array([1.0]), 5)

@@ -390,6 +390,43 @@ class TestBatchedExploitability:
             exploitability_estimate(game, flow, zero, n=8, reps=6, seed=9, br_control=zero)
 
 
+def _index_groups(feedbacks, n):
+    """_feedback_groups as it stood: every family group gathers its players by index array."""
+    if isinstance(feedbacks, ControlField):
+        return [(feedbacks, slice(None))]
+    seen: dict = {}
+    for k, f in enumerate(feedbacks):
+        seen.setdefault(id(f), (f, []))[1].append(k)
+    return [(f, np.asarray(idx, dtype=np.intp)) for f, idx in seen.values()]
+
+
+class TestSliceGroups:
+    """Contiguous feedback groups are read as slices; the rows must be those
+    of gathering every group by index array."""
+
+    @pytest.mark.parametrize("profile", _profiles(), ids=lambda p: p[0])
+    def test_deviation_family_rows(self, profile, monkeypatch):
+        _, game, flow, ctrl, br = profile
+        fast = exploitability_estimate(game, flow, ctrl, n=12, reps=3, seed=6, br_control=br)
+        monkeypatch.setattr(nash, "_feedback_groups", _index_groups)
+        slow = exploitability_estimate(game, flow, ctrl, n=12, reps=3, seed=6, br_control=br)
+        assert fast.rows == slow.rows
+        assert (fast.gap, fast.se_gap, fast.se_eq) == (slow.gap, slow.se_gap, slow.se_eq)
+
+    @pytest.mark.parametrize("profile", _profiles(), ids=lambda p: p[0])
+    def test_non_contiguous_family_rows(self, profile, monkeypatch):
+        # a slice group, an index-array group and one of each within a family
+        _, game, flow, ctrl, br = profile
+        tg, n = flow.grid, 12
+        other = br if br is not None else ControlField.constant(tg, -0.5)
+        family = [other, ctrl, ctrl, other, other] + [sign_of_mean(tg)] * (n - 5)
+        noise, x0 = sim.chunk_inputs(game, range(3), n, tg, 8, ("xp", "xp-init"))
+        fast = nash._player0_payoffs(game, family, noise, x0, tg, 0)
+        monkeypatch.setattr(nash, "_feedback_groups", _index_groups)
+        slow = nash._player0_payoffs(game, family, noise, x0, tg, 0)
+        assert np.array_equal(fast, slow)
+
+
 class TestExploitabilityArguments:
     @pytest.fixture
     def setup(self, monkeypatch):

@@ -284,6 +284,29 @@ class TestPhiloxStreams:
         first.standard_normal(3)
         assert np.array_equal(philox(5, 1).standard_normal(4), _fresh_stream(5, 1).standard_normal(4))
 
+    def test_prebuilt_state_has_the_schema_of_numpy_philox(self):
+        # numpy's setter reads these keys: a numpy that renames, adds or
+        # reshapes one must fail here, not draw other bits
+        ours, theirs = _PhiloxStreams()._state, np.random.Philox(0).state
+
+        def schema(state):
+            return {k: schema(v) if isinstance(v, dict) else np.shape(v) for k, v in state.items()}
+
+        assert schema(ours) == schema(theirs)
+        assert ours["bit_generator"] == theirs["bit_generator"]
+        # and, but for the key, the values of a generator that has not drawn
+        for name in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+            assert np.array_equal(ours[name], theirs[name]), name
+        assert np.array_equal(ours["state"]["counter"], theirs["state"]["counter"])
+
+    @pytest.mark.parametrize("seed,k", [(9, 4), (2**64 - 3, 2**63 + 5)])
+    def test_rekeying_discards_a_partly_used_buffer(self, seed, k):
+        # a 32-bit draw leaves a half word and three buffered words behind
+        streams = _PhiloxStreams()
+        streams.stream(2**64 - 1, 7).integers(0, 2**32, size=3, dtype=np.uint32)
+        fresh = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
+        assert np.array_equal(streams.stream(seed, k).bit_generator.random_raw(9), fresh.random_raw(9))
+
     def test_sliced_directions_unchanged(self):
         # the 32 directions were drawn from a hand-built Philox keyed (0, dim)
         v = _fresh_stream(0, 3).standard_normal((32, 3))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,122 @@ class TestBatchedEuler:
         drift = nplayer_drift(game, ControlField.constant(tg, 0.0), tg, 4)
         with pytest.raises(FloatingPointError, match=r"t=0, repetition 1, particle 0, state \[0\.1\]"):
             euler(drift, noise, x0, tg, record="mean")
+
+
+class TestStatsOutliveTheirStep:
+    """euler never writes a cloud it handed to a drift, so statistics taken
+    at a step may read their variance after the run."""
+
+    def _cases(self):
+        game = sign_drift()
+        tg = TimeGrid(1.0, 25)
+        noise, x0 = chunk_inputs(game, range(3), 40, tg, 2, ("w", "x0"))
+        yield "single", noise[1], np.random.default_rng(1).normal(size=(40, 1)), tg
+        yield "batched", noise, np.random.default_rng(2).normal(size=(3, 40, 1)), tg
+
+    @pytest.mark.parametrize("record", ["paths", "mean", "last"])
+    def test_variance_read_after_the_run_matches_each_step_cloud(self, record):
+        for name, noise, init, tg in self._cases():
+            kept = []
+
+            def drift(j, x, out):
+                stats = MeasureStats.from_cloud(x)
+                kept.append((stats, x.copy()))
+                out[...] = np.tanh(x) - stats.mean
+
+            euler(drift, noise, init, tg, record=record)
+            assert len(kept) == tg.n_steps
+            for stats, cloud in kept:
+                expect = np.var(cloud, axis=-2, keepdims=cloud.ndim == 3)
+                assert np.array_equal(stats.var, expect), (name, record)
+
+    def test_each_step_writes_a_fresh_state_array(self):
+        tg = TimeGrid(1.0, 6)
+        seen = []
+
+        def drift(j, x, out):
+            seen.append(x)
+            out.fill(1.0)
+
+        init = np.zeros((2, 5, 1))
+        euler(drift, np.zeros((2, 5, 6, 1)), init, tg, record="last")
+        assert seen[0] is init
+        assert all(not np.shares_memory(a, b) for i, a in enumerate(seen) for b in seen[i + 1:])
+
+
+class TestFeedbackGroups:
+    def test_contiguous_runs_are_slices_and_the_rest_index_arrays(self):
+        tg = TimeGrid(1.0, 4)
+        a, b, c = (ControlField.constant(tg, v) for v in (-1.0, 0.0, 1.0))
+        groups = _feedback_groups([a, b, b, a, c, c, c], 7)
+        assert [f for f, _ in groups] == [a, b, c]
+        assert np.array_equal(groups[0][1], [0, 3]) and groups[0][1].dtype == np.intp
+        assert groups[1][1] == slice(1, 3) and groups[2][1] == slice(4, 7)
+        assert _feedback_groups([a] + [b] * 4, 5) == [(a, slice(0, 1)), (b, slice(1, 5))]
+        assert _feedback_groups(a, 5) == [(a, slice(None))]
+
+    @pytest.mark.parametrize("family", ["deviation", "interleaved"])
+    def test_slices_step_to_the_bits_of_index_arrays(self, family, monkeypatch):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 30, 20, seed=3)
+        a, b = sign_of_mean(tg, start=0.3), ControlField.constant(tg, 0.5)
+        fields = [a] + [b] * 29 if family == "deviation" else [a, b, b, a] + [b] * 10 + [a] * 16
+        fast = simulate_nplayer(game, fields, bundle, x0)
+        monkeypatch.setattr(sim, "_feedback_groups", _index_groups)
+        slow = simulate_nplayer(game, fields, bundle, x0)
+        assert np.array_equal(fast.states, slow.states)
+
+    def test_one_shared_field_steps_to_the_bits_of_its_group(self):
+        # nplayer_drift calls a lone pure or analytic field directly
+        game = sign_drift()
+        tg = TimeGrid(1.0, 30)
+        noise, x0 = chunk_inputs(game, range(3), 50, tg, 4, ("w", "x0"))
+        fb = sign_of_mean(tg, start=0.2)
+        groups = [(fb, slice(None))]
+
+        def grouped(j, x, out):
+            sim.group_drift(game, groups, j, tg.times[j], x, MeasureStats.from_cloud(x), out)
+
+        assert np.array_equal(euler(nplayer_drift(game, fb, tg, 50), noise, x0, tg), euler(grouped, noise, x0, tg))
+        assert np.array_equal(euler(nplayer_drift(game, [fb] * 50, tg, 50), noise, x0, tg), euler(grouped, noise, x0, tg))
+
+
+def _index_groups(feedbacks, n):
+    """_feedback_groups as it stood: every family group gathers its players by index array."""
+    if isinstance(feedbacks, ControlField):
+        return [(feedbacks, slice(None))]
+    seen: dict = {}
+    for k, f in enumerate(feedbacks):
+        seen.setdefault(id(f), (f, []))[1].append(k)
+    return [(f, np.asarray(idx, dtype=np.intp)) for f, idx in seen.values()]
+
+
+class TestFiniteCheck:
+    """The per-step check screens with one sum of squares; it must raise
+    exactly where an entry-by-entry isfinite check would."""
+
+    @pytest.mark.parametrize("values", [
+        np.full((2, 4, 1), 1e200),  # the screen overflows: every entry is finite
+        np.array([[1e308], [-1e308]]),
+        np.array([[0.0], [5e-324]]),
+        np.array([[np.inf], [-np.inf]]),
+        np.array([[1.0], [np.nan]]),
+        np.array([[[1e300], [np.nan]], [[0.0], [1.0]]]),
+    ], ids=["huge", "max", "tiny", "inf", "nan", "batched_nan"])
+    def test_raises_exactly_on_non_finite_entries(self, values):
+        x = np.zeros(values.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.isfinite(values).all():
+                sim._check_finite(values, "drift", 0.5, x)
+            else:
+                with pytest.raises(FloatingPointError, match=r"drift evaluated to a non-finite value at t=0\.5, "):
+                    sim._check_finite(values, "drift", 0.5, x)
+
+    def test_huge_finite_drifts_step(self):
+        tg = TimeGrid(1.0, 3)
+        states = euler(lambda j, x, out: out.fill(1e200), np.zeros((4, 3, 1)), np.zeros((4, 1)), tg)
+        assert np.isfinite(states).all()
 
 
 class TestNonFiniteInitialStates:
