@@ -1,10 +1,9 @@
 """Game catalog: state dynamics, rewards, and initial laws.
 
-A game couples n particles only through summary statistics of the empirical
-measure (mean, variance), so coefficient callables receive a MeasureStats
-value rather than a raw particle cloud. All catalog coefficients are bounded
-on the declared state box, keeping explicit schemes and Girsanov exponents
-well behaved.
+A game couples n particles only through the mean of the empirical measure,
+so coefficient callables receive a MeasureStats value rather than a raw
+particle cloud. All catalog coefficients are bounded on the declared state
+box, keeping explicit schemes and Girsanov exponents well behaved.
 """
 
 from __future__ import annotations
@@ -14,65 +13,34 @@ from typing import Callable
 
 import numpy as np
 
+from .grids import positive_finite
 
+
+@dataclass(frozen=True, eq=False)
 class MeasureStats:
-    """Summary statistics of a probability measure on R^d, or of a batch of them.
+    """The mean of a probability measure on R^d, or of a batch of them.
 
-    One measure has mean and var shaped (d,). A batch of R measures, as built
-    from clouds shaped (R, n, d), has them shaped (R, 1, d), so they broadcast
+    One measure has mean shaped (d,). A batch of R measures, as built from
+    clouds shaped (R, n, d), has it shaped (R, 1, d), so it broadcasts
     against per-particle arrays (R, n, ...); coefficients read the first
-    coordinate as mean[..., 0] and work either way.
-
-    MeasureStats(mean=, var=) holds the values it is given. from_cloud
-    computes the mean at once and the variance only when var is first read,
-    from the cloud it was given, which must therefore not be written in
-    between; no catalog coefficient reads the variance, so a simulation step
-    pays for the mean alone. The values are those of np.mean and np.var
-    either way. Instances are immutable.
+    coordinate as mean[..., 0] and work either way. from_cloud has the bits
+    of np.mean. Instances are immutable.
     """
 
-    __slots__ = ("mean", "_var", "_cloud")
-
-    def __init__(self, mean: np.ndarray, var: np.ndarray):
-        object.__setattr__(self, "mean", mean)  # (d,) or (R, 1, d)
-        object.__setattr__(self, "_var", var)  # per-coordinate variance, shaped like mean
-        object.__setattr__(self, "_cloud", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MeasureStats is immutable: cannot set {name!r}")
-
-    def __repr__(self) -> str:
-        return f"MeasureStats(mean={self.mean!r}, var={self.var!r})"
-
-    def __reduce__(self):  # copies and pickles are rebuilt from the values
-        return (MeasureStats, (self.mean, self.var))
-
-    @property
-    def var(self) -> np.ndarray:
-        if self._var is None:
-            cloud = self._cloud
-            dev = cloud - self.mean
-            var = np.add.reduce(np.square(dev, out=dev), axis=-2, keepdims=cloud.ndim == 3) / cloud.shape[-2]
-            object.__setattr__(self, "_var", var)
-            object.__setattr__(self, "_cloud", None)
-        return self._var
+    mean: np.ndarray  # (d,) or (R, 1, d)
 
     @classmethod
     def from_cloud(cls, cloud: np.ndarray) -> "MeasureStats":
         cloud = np.asarray(cloud, dtype=float)
         if cloud.ndim not in (2, 3):
             raise ValueError(f"cloud must be (n, d) or (R, n, d), got shape {cloud.shape}")
-        # the ufunc calls np.mean and np.var make, spelled out: same bits,
-        # without their per-call overhead, which matters once per Euler step
-        mean = np.add.reduce(cloud, axis=-2, keepdims=cloud.ndim == 3) / cloud.shape[-2]
-        stats = cls(mean, None)
-        object.__setattr__(stats, "_cloud", cloud)
-        return stats
+        # the ufunc calls np.mean makes, spelled out: same bits, without its
+        # per-call overhead, which matters once per Euler step
+        return cls(np.add.reduce(cloud, axis=-2, keepdims=cloud.ndim == 3) / cloud.shape[-2])
 
     @classmethod
     def point(cls, x) -> "MeasureStats":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return cls(mean=x, var=np.zeros_like(x))
+        return cls(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +95,7 @@ class GameSpec:
     coefficients_batch_time=True promises more: drift and running also
     broadcast over a leading time axis shared by t, x, a and m, with t shaped
     (M, 1, 1), x (1, 1, P, dim), a (1, n_atoms, 1, action_dim) and m stacked
-    over time (mean and var shaped (M, 1, 1, dim)), and give at each index the
+    over time (its mean shaped (M, 1, 1, dim)), and give at each index the
     bits of the call at that one time. The dynamic-programming table then
     takes one call per coefficient for the whole horizon instead of one per
     step and atom. dataclasses.replace keeps the declaration, so a game built
@@ -155,6 +123,7 @@ class GameSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        positive_finite(self.horizon, "horizon")
         for name in ("action_lo", "action_hi", "state_lo", "state_hi"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         if self.action_lo.ndim != 1 or self.action_hi.shape != self.action_lo.shape:
@@ -200,6 +169,7 @@ def _action_reward(c: float) -> Callable:
 def _default_state_box(initial: InitialLaw, drift_bound: float, horizon: float):
     # wide enough that simulated paths essentially never leave the box:
     # initial support plus worst-case drift plus six standard deviations
+    positive_finite(horizon, "horizon")
     pad = drift_bound * horizon + 6.0 * np.sqrt(horizon)
     lo = initial.loc - initial.support_radius() - pad
     hi = initial.loc + initial.support_radius() + pad

@@ -16,6 +16,12 @@ def positive_count(value, name: str) -> int:
     return int(value)
 
 
+def positive_finite(value, name: str) -> None:
+    """Refuse value unless it is positive and finite (NaN is refused)."""
+    if not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _bounds(lo, hi) -> tuple:
     """lo and hi as 1-d float arrays of equal length with finite entries."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -36,8 +42,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        positive_finite(self.horizon, "horizon")
         object.__setattr__(self, "n_steps", positive_count(self.n_steps, "n_steps"))
 
     @property

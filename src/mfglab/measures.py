@@ -8,6 +8,7 @@ W1; it is the only flow distance.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -71,10 +72,9 @@ class EmpiricalFlow:
 
 
 class DeterministicFlow:
-    """A flow known only through exact summary statistics, no samples.
+    """A flow known only through its mean path, no samples.
 
-    Useful as a frozen target with a prescribed mean path; the variance at
-    time t is t, that of a standard Brownian motion started at a point.
+    Useful as a frozen target with a prescribed mean path.
     """
 
     def __init__(self, grid: TimeGrid, mean_path: np.ndarray):
@@ -85,14 +85,13 @@ class DeterministicFlow:
             raise ValueError(f"mean path needs {grid.n_steps + 1} nodes, got {mean_path.shape[0]}")
         self.grid = grid
         self._mean = mean_path
-        self._var = np.tile(grid.times[:, None], (1, mean_path.shape[1]))
 
     @property
     def dim(self) -> int:
         return self._mean.shape[1]
 
     def stats_path(self) -> list:
-        return [MeasureStats(mean=self._mean[j], var=self._var[j]) for j in range(self._mean.shape[0])]
+        return [MeasureStats(mean) for mean in self._mean]
 
     def mean_path(self) -> np.ndarray:
         return self._mean.copy()
@@ -140,17 +139,36 @@ def _merged_quantiles(a: np.ndarray, b: np.ndarray):
     return np.sort(a)[ia], np.sort(b)[ib], w
 
 
-def wasserstein1_1d(a, b) -> float:
-    """Exact order-1 Wasserstein distance between two 1-d sample clouds.
-
-    Equal sizes use the sorted coupling directly; unequal sizes integrate
-    the quantile-function difference over the merged breakpoint ladder.
-    """
+def _w1(a, b) -> float:
+    """wasserstein1_1d without its finiteness check."""
     a, b = _as_samples_1d(a), _as_samples_1d(b)
     if a.size == b.size:
         return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
     qa, qb, w = _merged_quantiles(a, b)
     return float(np.sum(w * np.abs(qa - qb)))
+
+
+def wasserstein1_1d(a, b) -> float:
+    """Exact order-1 Wasserstein distance between two 1-d sample clouds.
+
+    Equal sizes use the sorted coupling directly; unequal sizes integrate
+    the quantile-function difference over the merged breakpoint ladder. A
+    distance that is not finite (a NaN or infinite sample) is refused.
+    """
+    d = _w1(a, b)
+    if not math.isfinite(d):
+        raise ValueError(f"W1 distance is {d}: the clouds must hold finite samples")
+    return d
+
+
+def _worst_slice(per_slice: np.ndarray) -> float:
+    """The largest of the per-slice distances (M+1,); one that is not finite
+    (a NaN or infinite sample) is refused, naming its time slice."""
+    worst = float(per_slice.max())
+    if not math.isfinite(worst):
+        j = int(np.flatnonzero(~np.isfinite(per_slice))[0])
+        raise ValueError(f"W1 distance at time slice {j} is {per_slice[j]}: the flows must hold finite samples")
+    return worst
 
 
 def sliced_directions(dim: int) -> np.ndarray:
@@ -185,9 +203,9 @@ def sorted_distance(consumed: np.ndarray, other: np.ndarray) -> float:
     """
     if consumed.shape != other.shape:
         raise ValueError(f"sorted stacks must share a shape, got {consumed.shape} and {other.shape}")
-    per_slice = np.subtract(consumed, other, out=consumed)
-    np.abs(per_slice, out=per_slice)
-    return float(per_slice.mean(axis=1).max())
+    diff = np.subtract(consumed, other, out=consumed)
+    np.abs(diff, out=diff)
+    return _worst_slice(diff.mean(axis=1))
 
 
 def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow) -> float:
@@ -201,6 +219,5 @@ def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow) -> float:
     if fa.n_particles == fb.n_particles:
         # equal sizes reduce to mean |sorted difference|, one sort per flow
         return sorted_distance(sorted_slices(fa), sorted_slices(fb))
-    per_slice = [wasserstein1_1d(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]
-    return float(np.max(per_slice))
+    return _worst_slice(np.array([_w1(fa.cloud(j), fb.cloud(j)) for j in range(fa.grid.n_steps + 1)]))
 

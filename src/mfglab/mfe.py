@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlField
-from .games import GameSpec
+from .games import GameSpec, MeasureStats
 from .grids import TimeGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import EmpiricalFlow, sorted_distance, sorted_slices
@@ -237,7 +237,6 @@ def check_monotonicity(game: GameSpec, *, trials: int = 200, n_samples: int = 40
     if game.running_split is None:
         raise ValueError("monotonicity check needs a game with a separable running reward")
     f1, _ = game.running_split
-    from .games import MeasureStats
 
     gen = philox(derive_seed(seed, "monotone"), 0)
     violations = 0

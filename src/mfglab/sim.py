@@ -5,10 +5,7 @@ Conventions shared by every simulator here:
     (or, batched, by bundles stacked along a leading repetition axis);
   * coefficients are evaluated with the measure statistics at the step start;
   * only the states are kept: each step's drift is written into one reused
-    buffer, and no simulator records the drifts it computed;
-  * no cloud is written after it is handed to a drift, so statistics taken
-    from it stay valid: MeasureStats.from_cloud computes the variance only
-    when it is first read, and no catalog coefficient reads it.
+    buffer, and no simulator records the drifts it computed.
 
 All of them step through one loop, euler(), over states shaped (..., n, d):
 the public simulators pass a single system (no leading axis), and batched
@@ -117,10 +114,7 @@ def coefficient_table(game: GameSpec, times: np.ndarray, stats_path, nodes: np.n
     (P, d), (nA, k) = nodes.shape, atoms.shape
     if game.coefficients_batch_time:
         t = np.asarray(times, dtype=float).reshape(M, 1, 1)
-        stats = MeasureStats(
-            mean=np.stack([s.mean for s in stats_path[:M]]).reshape(M, 1, 1, -1),
-            var=np.stack([s.var for s in stats_path[:M]]).reshape(M, 1, 1, -1),
-        )
+        stats = MeasureStats(np.stack([s.mean for s in stats_path[:M]]).reshape(M, 1, 1, -1))
         x, a = nodes.reshape(1, 1, P, d), atoms.reshape(1, nA, 1, k)
         B = np.broadcast_to(np.asarray(game.drift(t, x, stats, a), dtype=float), (M, nA, P, d))
         F = np.broadcast_to(np.asarray(game.running(t, x, stats, a), dtype=float), (M, nA, P))
@@ -239,10 +233,10 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     sample_brownian and chunk_inputs draw it. drift(j, x, out) writes the
     drift at step j for states x into out, one buffer shaped like x that
     every step reuses, so no drift outlives its step; the initial states
-    and every step's drifts are checked for non-finite values. The states x
-    a drift is handed are never written afterwards, whatever the record:
-    each step writes a fresh array, so statistics taken from x (whose
-    variance MeasureStats computes only when read) stay valid after the step.
+    and every step's drifts are checked for non-finite values. Under "mean"
+    and "last" the states are one copy of init, stepped in place, so the
+    states x a drift is handed are overwritten by the next step; init itself
+    is never written.
 
     record="paths" returns the states (..., n, M+1, d), a view of time-major
     (..., M+1, n, d) memory; record="mean" returns only the particle-mean
@@ -265,21 +259,19 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     else:
         if record == "mean":
             means = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-1:])
-        x = init
+        x = nxt = init.copy()  # the one state buffer
     step = np.empty(init.shape)  # the one drift buffer
     for j in range(M):
         if record == "paths":
             nxt = states[..., j + 1, :, :]
-        else:
-            nxt = np.empty(init.shape)  # fresh: statistics of an earlier x may still read it
-            if record == "mean":
-                np.add.reduce(x, axis=-2, out=means[..., j, :])
+        elif record == "mean":
+            np.add.reduce(x, axis=-2, out=means[..., j, :])
         drift(j, x, step)
         _check_finite(step, "drift", times[j], x, first_rep)
         # x + step * dt + dW, in that order, written straight into the next states
-        np.multiply(step, dt, out=nxt)
-        np.add(x, nxt, out=nxt)
-        np.add(nxt, dw[..., j, :, :], out=nxt)
+        step *= dt
+        np.add(x, step, out=nxt)
+        nxt += dw[..., j, :, :]
         x = nxt
     if record == "paths":
         return np.swapaxes(states, -3, -2)
