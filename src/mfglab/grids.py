@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +19,11 @@ def positive_count(value, name: str) -> int:
 
 
 def positive_finite(value, name: str) -> None:
-    """Refuse value unless it is positive and finite (NaN is refused)."""
-    if not (value > 0 and np.isfinite(value)):
+    """Refuse value unless it is a positive, finite real number; bools,
+    non-numbers and NaN are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 

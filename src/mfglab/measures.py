@@ -142,10 +142,13 @@ def _merged_quantiles(a: np.ndarray, b: np.ndarray):
 def _w1(a, b) -> float:
     """wasserstein1_1d without its finiteness check."""
     a, b = _as_samples_1d(a), _as_samples_1d(b)
-    if a.size == b.size:
-        return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
-    qa, qb, w = _merged_quantiles(a, b)
-    return float(np.sum(w * np.abs(qa - qb)))
+    # an infinity at the same rank of both subtracts to NaN, which the
+    # callers refuse by name
+    with np.errstate(invalid="ignore"):
+        if a.size == b.size:
+            return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
+        qa, qb, w = _merged_quantiles(a, b)
+        return float(np.sum(w * np.abs(qa - qb)))
 
 
 def wasserstein1_1d(a, b) -> float:
@@ -187,10 +190,14 @@ def sliced_wasserstein1(a, b) -> float:
     return float(np.mean(vals))
 
 
+def _one_dimensional(dim: int) -> None:
+    if dim != 1:
+        raise ValueError(f"sorted slices need a one-dimensional flow, got dimension {dim}")
+
+
 def sorted_slices(flow: EmpiricalFlow) -> np.ndarray:
     """Every time slice of a 1-d flow, sorted: (M+1, n)."""
-    if flow.dim != 1:
-        raise ValueError(f"sorted slices need a one-dimensional flow, got dimension {flow.dim}")
+    _one_dimensional(flow.dim)
     return np.sort(flow.samples[:, :, 0], axis=1)
 
 
@@ -203,9 +210,35 @@ def sorted_distance(consumed: np.ndarray, other: np.ndarray) -> float:
     """
     if consumed.shape != other.shape:
         raise ValueError(f"sorted stacks must share a shape, got {consumed.shape} and {other.shape}")
-    diff = np.subtract(consumed, other, out=consumed)
+    with np.errstate(invalid="ignore"):  # inf - inf is refused by _worst_slice
+        diff = np.subtract(consumed, other, out=consumed)
     np.abs(diff, out=diff)
     return _worst_slice(diff.mean(axis=1))
+
+
+def swap_sorted(stack: np.ndarray, flow: EmpiricalFlow) -> float:
+    """Sort each slice of a 1-d flow into stack (M+1, n), one slice at a time,
+    and return the flow_distance between flow and the flow whose sorted
+    slices stack held before, bit for bit.
+
+    Each slice is sorted into one row buffer and reduced against the row it
+    replaces, so the only (M+1, n) array live is stack itself, and stack is
+    left holding flow's sorted slices.
+    """
+    _one_dimensional(flow.dim)
+    if stack.shape != flow.samples.shape[:2]:
+        raise ValueError(f"sorted stack {stack.shape} does not fit the flow's slices {flow.samples.shape[:2]}")
+    row, diff = np.empty(stack.shape[1]), np.empty(stack.shape[1])
+    per_slice = np.empty(stack.shape[0])
+    with np.errstate(invalid="ignore"):  # inf - inf is refused by _worst_slice
+        for j, old in enumerate(stack):
+            row[:] = flow.samples[j, :, 0]
+            row.sort()
+            np.subtract(old, row, out=diff)
+            np.abs(diff, out=diff)
+            per_slice[j] = diff.mean()
+            old[:] = row
+    return _worst_slice(per_slice)
 
 
 def flow_distance(fa: EmpiricalFlow, fb: EmpiricalFlow) -> float:

@@ -18,7 +18,7 @@ from .controls import ControlField
 from .games import GameSpec, MeasureStats
 from .grids import TimeGrid, positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
-from .measures import EmpiricalFlow, sorted_distance, sorted_slices
+from .measures import EmpiricalFlow, sorted_distance, sorted_slices, swap_sorted
 from .rng import derive_seed, initial_cloud, philox, sample_brownian
 from .sim import simulate_frozen_flow
 
@@ -96,7 +96,8 @@ def picard_mfe(
 
     flow = init_flow
     # the sorted slices of the current flow ride along to the next residual,
-    # so each flow is sorted once
+    # re-sorted in place one slice at a time, so each flow is sorted once and
+    # one sorted stack is live
     flow_sorted = sorted_slices(flow) if max_iter >= 1 else None
     control = None
     residuals: list = []
@@ -111,20 +112,23 @@ def picard_mfe(
 
         # fresh particle i is particle take_new[i] of a full fresh cloud: same
         # noise stream, same initial state, and frozen-flow particles never
-        # interact, so only the kept ones are simulated
-        samples = np.empty(flow.samples.shape)
-        bundle = sample_brownian(derive_seed(seed, "picard", k), n_new, tgrid, game.dim, particles=take_new)
-        x0 = initial_cloud(derive_seed(seed, "picard-init", k), n, game.initial.sampler())[take_new]
-        samples[:, :n_new] = np.swapaxes(simulate_frozen_flow(game, control, flow, bundle, x0).states, 0, 1)
-        np.take(flow.samples, take_old, axis=1, out=samples[:, n_new:], mode="clip")
-        # the noise and the old flow are freed before the sort (init_flow
-        # itself stays the caller's)
-        del bundle
-        flow = EmpiricalFlow(tgrid, samples)
+        # interact, so only the kept ones are simulated, against the old flow.
+        # The mix puts them first. The first mix needs a buffer of its own,
+        # as init_flow stays the caller's; it is taken before the fresh
+        # cloud, which then sits above it in the heap and leaves no hole
+        # when freed. Later mixes are built in the old flow's buffer, one
+        # slice at a time.
+        samples = np.empty(flow.samples.shape) if flow is init_flow else flow.samples
+        fresh = _fresh_cloud(game, flow, control, seed, "picard", k, particles=take_new)
+        kept = np.empty((n - n_new, 1))
+        for j in range(tgrid.n_steps + 1):
+            np.take(flow.samples[j], take_old, axis=0, out=kept, mode="clip")
+            samples[j, n_new:] = kept
+            samples[j, :n_new] = fresh[j]
+        del fresh
+        flow = EmpiricalFlow(tgrid, samples)  # a new flow: the old one's cached stats are stale
 
-        mixed_sorted = sorted_slices(flow)
-        residuals.append(sorted_distance(flow_sorted, mixed_sorted))
-        flow_sorted = mixed_sorted
+        residuals.append(swap_sorted(flow_sorted, flow))
         endpoints.append(float(flow.mean_path()[-1, 0]))
         log.info("picard iteration %d: residual %.6g, mean endpoint %.6g", k, residuals[-1], endpoints[-1])
         if residuals[-1] <= tol:
@@ -137,16 +141,35 @@ def picard_mfe(
     return PicardResult(flow=flow, control=control, residuals=residuals, converged=converged, iterations=k, mean_endpoints=endpoints)
 
 
+def _fresh_cloud(game: GameSpec, flow: EmpiricalFlow, control: ControlField, seed: int, label: str, *key, particles=None) -> np.ndarray:
+    """Time-major states (M+1, m, d) of fresh particles played under control
+    against flow, drawn from the seeds of (seed, label, *key) and
+    (seed, label-init, *key). Particle i is particle particles[i] of a fresh
+    cloud of the flow's size, all n of them by default.
+
+    The noise is drawn into the states array, at the rows the Euler step
+    overwrites, so noise and paths are never held at once: the cloud costs
+    one (M+1, m, d) array.
+    """
+    tgrid, n = flow.grid, flow.n_particles
+    m = n if particles is None else len(particles)
+    states = np.empty((tgrid.n_steps + 1, m, game.dim))
+    bundle = sample_brownian(derive_seed(seed, label, *key), m, tgrid, game.dim, out=states[1:], particles=particles)
+    x0 = initial_cloud(derive_seed(seed, f"{label}-init", *key), n, game.initial.sampler())
+    simulate_frozen_flow(game, control, flow, bundle, x0 if particles is None else x0[particles], out=states)
+    return states
+
+
 def _sorted_fresh_cloud(game: GameSpec, flow: EmpiricalFlow, control: ControlField, seed: int, label: str, *key) -> np.ndarray:
     """Sorted slices (M+1, n) of a fresh cloud of the flow's size under control,
-    drawn from the seeds of (seed, label, *key) and (seed, label-init, *key).
-    Only they outlive the call: the noise is freed before the sort."""
-    tgrid, n = flow.grid, flow.n_particles
-    bundle = sample_brownian(derive_seed(seed, label, *key), n, tgrid, game.dim)
-    x0 = initial_cloud(derive_seed(seed, f"{label}-init", *key), n, game.initial.sampler())
-    fresh = EmpiricalFlow.from_ensemble(simulate_frozen_flow(game, control, flow, bundle, x0))
-    del bundle
-    return sorted_slices(fresh)
+    drawn as _fresh_cloud draws it. The slices are sorted in place, in the
+    array that held the noise and then the paths, so the call allocates one
+    (M+1, n) stack, and that is what it returns."""
+    if game.dim != 1:
+        raise ValueError(f"sorted slices need a one-dimensional flow, got dimension {game.dim}")
+    slices = _fresh_cloud(game, flow, control, seed, label, *key)[:, :, 0]
+    slices.sort(axis=1)
+    return slices
 
 
 def consistency_residual(
@@ -163,8 +186,8 @@ def consistency_residual(
     against same_law_baseline to judge what the noise floor is.
     """
     fresh = _sorted_fresh_cloud(game, flow, control, seed, "consistency")
-    # flow_distance(flow, fresh), as sorted_distance of their stacks
-    return sorted_distance(sorted_slices(flow), fresh)
+    # flow_distance(flow, fresh), with flow sorted one slice at a time
+    return swap_sorted(fresh, flow)
 
 
 def same_law_baseline(

@@ -20,6 +20,8 @@ player is called directly, without the group machinery.
 Noise and states live in time-major memory, (M, ..., n, d) per repetition,
 so each Euler step reads and writes one contiguous slab; the documented
 particle-major shapes, (n, M, d) and (n, M+1, d), are swapaxes views of it.
+The noise may even be drawn into rows 1..M of the states array, which each
+step overwrites right after reading them (euler's out=).
 An ensemble carries drifts only when integrate_paths was given an array
 drift: they are a read-only view of the caller's array, which is not copied.
 """
@@ -223,7 +225,21 @@ def chunk_inputs(game: GameSpec, chunk: range, n: int, grid: TimeGrid, seed: int
     return np.swapaxes(noise, 1, 2), x0
 
 
-def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: str = "paths", first_rep: int = 0):
+def _states_buffer(out, dw: np.ndarray, shape: tuple) -> np.ndarray:
+    """The (..., M+1, n, d) states array of euler: out checked, or a new one."""
+    if out is None:
+        return np.empty(shape)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ValueError(f"out must be a C-contiguous float64 {shape} array, got {got}")
+    rows = out[..., 1:, :, :]
+    in_place = dw.__array_interface__["data"][0] == rows.__array_interface__["data"][0] and dw.strides == rows.strides
+    if not in_place and np.may_share_memory(dw, out):
+        raise ValueError("noise may share memory with out only as out[..., 1:, :, :], the rows each step overwrites")
+    return out
+
+
+def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: str = "paths", first_rep: int = 0, out: np.ndarray | None = None):
     """The Euler loop: x_{j+1} = x_j + b_j dt + dW_j over states shaped (..., n, d).
 
     noise holds the increments, shaped (..., n, M, d), and init the starting
@@ -243,6 +259,14 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     path (..., M+1, d) and record="last" only the final states (..., n, d),
     so a batch needs no more memory than its noise. first_rep is the number
     of the batch's first repetition, used to name a repetition in errors.
+
+    out, under record="paths" only, is the C-contiguous float64 (..., M+1,
+    n, d) array the states are written into, and the returned states are
+    its view. The noise may live in out itself, as out[..., 1:, :, :] (that
+    is, noise is its swapaxes view): step j reads its increments from the
+    row it is about to overwrite, so noise and paths are never held at once
+    and the states keep the bits of separate noise. Any other overlap of
+    noise and out is refused.
     """
     if record not in ("paths", "mean", "last"):
         raise ValueError(f"record must be 'paths', 'mean' or 'last', got {record!r}")
@@ -253,10 +277,12 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
     _check_finite(init, "initial state", times[0], init, first_rep)
     dw = np.swapaxes(noise, -3, -2)  # (..., M, n, d)
     if record == "paths":
-        states = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-2:])
+        states = _states_buffer(out, dw, init.shape[:-2] + (M + 1,) + init.shape[-2:])
         states[..., 0, :, :] = init
         x = states[..., 0, :, :]
     else:
+        if out is not None:
+            raise ValueError(f"out receives the paths, so it needs record='paths', got {record!r}")
         if record == "mean":
             means = np.empty(init.shape[:-2] + (M + 1,) + init.shape[-1:])
         x = nxt = init.copy()  # the one state buffer
@@ -268,10 +294,11 @@ def euler(drift, noise: np.ndarray, init: np.ndarray, grid: TimeGrid, record: st
             np.add.reduce(x, axis=-2, out=means[..., j, :])
         drift(j, x, step)
         _check_finite(step, "drift", times[j], x, first_rep)
-        # x + step * dt + dW, in that order, written straight into the next states
+        # (step * dt + x) + dW, the bits of x + step * dt + dW, written straight
+        # into the next states, which may hold dW itself
         step *= dt
-        np.add(x, step, out=nxt)
-        nxt += dw[..., j, :, :]
+        step += x
+        np.add(step, dw[..., j, :, :], out=nxt)
         x = nxt
     if record == "paths":
         return np.swapaxes(states, -3, -2)
@@ -331,11 +358,20 @@ def simulate_nplayer(game: GameSpec, feedbacks, bundle: BrownianBundle, init: np
     return ParticleEnsemble(grid=bundle.grid, states=euler(drift, bundle.increments, init, bundle.grid), bundle=bundle)
 
 
-def simulate_frozen_flow(game: GameSpec, control: ControlField, flow, bundle: BrownianBundle, init: np.ndarray) -> ParticleEnsemble:
+def simulate_frozen_flow(
+    game: GameSpec, control: ControlField, flow, bundle: BrownianBundle, init: np.ndarray, *, out: np.ndarray | None = None
+) -> ParticleEnsemble:
     """Integrate i.i.d. copies against a frozen measure flow.
 
     flow only needs a stats_path() method; particles never see each other, so
     the cloud is a plain Monte Carlo sample of the controlled one-player law.
+
+    out, if given, is the time-major (M+1, n, d) array the states are written
+    into, as in euler. The bundle may be drawn into out[1:], by
+    sample_brownian(..., out=out[1:]): each step then overwrites the
+    increments it has just read, so the cloud costs one (M+1, n, d) array
+    instead of two, with the same bits. Its increments are gone afterwards,
+    so that ensemble has bundle None.
     """
     _check_bundle(game, bundle)
     init = _prep_init(init, bundle.n, bundle.dim)
@@ -344,10 +380,12 @@ def simulate_frozen_flow(game: GameSpec, control: ControlField, flow, bundle: Br
         raise ValueError("flow and bundle must share the time grid")
     times = bundle.grid.times
 
-    def drift(j, x, out):
-        out[...] = control_drift(game, control, j, times[j], x, stats_path[j])
+    def drift(j, x, step):
+        step[...] = control_drift(game, control, j, times[j], x, stats_path[j])
 
-    return ParticleEnsemble(grid=bundle.grid, states=euler(drift, bundle.increments, init, bundle.grid), bundle=bundle)
+    states = euler(drift, bundle.increments, init, bundle.grid, out=out)
+    spent = out is not None and np.may_share_memory(bundle.increments, out)
+    return ParticleEnsemble(grid=bundle.grid, states=states, bundle=None if spent else bundle)
 
 
 def integrate_paths(drift, bundle: BrownianBundle, init: np.ndarray) -> ParticleEnsemble:

@@ -147,6 +147,18 @@ class TestGameSpecChecks:
             with pytest.raises(ValueError, match=r"^horizon must be positive and finite, got "):
                 GAME_CATALOG[name](horizon=horizon)
 
+    @pytest.mark.parametrize("horizon", ["1", None, True])
+    @pytest.mark.parametrize("build", ["spec", "sign_drift", "monotone_lq"])
+    def test_a_horizon_that_is_not_a_real_number_is_refused_by_name(self, build, horizon):
+        make = self._spec if build == "spec" else GAME_CATALOG[build]
+        with pytest.raises(ValueError, match=r"^horizon must be a real number, got "):
+            make(horizon=horizon)
+
+    @pytest.mark.parametrize("build", ["spec", "sign_drift", "monotone_lq"])
+    def test_a_numpy_horizon_is_accepted(self, build):
+        make = self._spec if build == "spec" else GAME_CATALOG[build]
+        assert make(horizon=np.float64(1.0)).horizon == 1.0
+
     @pytest.mark.parametrize("horizon", BAD_HORIZONS)
     def test_spec_refuses_a_bad_horizon(self, horizon):
         with warnings.catch_warnings():

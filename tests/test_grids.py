@@ -34,6 +34,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="n_steps must be an int"):
             TimeGrid(1.0, bad)
 
+    @pytest.mark.parametrize("bad", ["1", None, True, 1j])
+    def test_refuses_a_horizon_that_is_not_a_real_number_by_name(self, bad):
+        with pytest.raises(ValueError, match=r"^horizon must be a real number, got "):
+            TimeGrid(bad, 10)
+
+    def test_accepts_a_numpy_horizon(self):
+        assert TimeGrid(np.float64(1.0), 10) == TimeGrid(1.0, 10)
+
     def test_stores_an_int_step_count(self):
         tg = TimeGrid(1.0, np.int64(4))
         assert type(tg.n_steps) is int

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from mfglab.measures import (
     sliced_wasserstein1,
     sorted_distance,
     sorted_slices,
+    swap_sorted,
     wasserstein1_1d,
 )
 from mfglab.rng import sample_brownian
@@ -247,10 +250,28 @@ class TestSortedSlices:
         for fa, fb in (unequal, equal):
             assert flow_distance(fa, fb) == _old_flow_distance(fa, fb)
 
+    def test_swap_sorted_keeps_flow_distance_bits_and_leaves_the_new_sorted_slices(self):
+        for fa, fb in ((_spread_flow(301, 1), _spread_flow(301, 2, scale=1.7)), (_spread_flow(90, 5), _spread_flow(90, 6, scale=3.0))):
+            expect = _old_flow_distance(fa, fb)
+            stack = sorted_slices(fa)
+            assert swap_sorted(stack, fb) == expect
+            assert np.array_equal(stack, sorted_slices(fb))
+            # and back: symmetric bit for bit
+            assert swap_sorted(stack, fa) == expect
+            assert np.array_equal(stack, sorted_slices(fa))
+
+    def test_swap_sorted_refuses_a_stack_of_another_shape(self):
+        flow = _spread_flow(30, 1)
+        for stack in (np.zeros((flow.grid.n_steps + 1, 31)), np.zeros((flow.grid.n_steps, 30))):
+            with pytest.raises(ValueError, match=r"sorted stack \(\d+, \d+\) does not fit the flow's slices"):
+                swap_sorted(stack, flow)
+
     def test_sorted_slices_need_one_dimensional_flows(self):
         flow = EmpiricalFlow(TimeGrid(1.0, 3), np.zeros((4, 5, 2)))
         with pytest.raises(ValueError, match="one-dimensional"):
             sorted_slices(flow)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            swap_sorted(np.zeros((4, 5)), flow)
 
     def test_sorted_distance_refuses_unequal_shapes(self):
         with pytest.raises(ValueError, match="share a shape"):
@@ -270,8 +291,8 @@ class TestNonFiniteSamplesAreRefused:
     """A distance that is not finite is refused; flow distances name the
     first time slice where it is not."""
 
-    # a flow holding an infinity, compared with itself, subtracts it from itself
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    # a flow holding an infinity, compared with itself, subtracts it from
+    # itself: the refusal is the only report, with no RuntimeWarning first
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n_other", [30, 17])
     def test_flow_distance_names_the_first_bad_slice(self, bad, n_other):
@@ -290,6 +311,20 @@ class TestNonFiniteSamplesAreRefused:
         stack[2, 4] = np.inf
         with pytest.raises(ValueError, match=r"time slice 2 is inf"):
             sorted_distance(stack, np.zeros((4, 5)))
+
+    def test_infinities_at_one_rank_are_refused_without_a_warning(self):
+        tg = TimeGrid(1.0, 3)
+        samples = np.zeros((4, 2, 1))
+        samples[1, 1, 0] = np.inf
+        flow = EmpiricalFlow(tg, samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"time slice 0 is nan"):
+                sorted_distance(np.array([[0.0, np.inf]]), np.array([[0.0, np.inf]]))
+            with pytest.raises(ValueError, match=r"^W1 distance is nan"):
+                wasserstein1_1d([0.0, np.inf], [0.0, np.inf])
+            with pytest.raises(ValueError, match=r"time slice 1 is nan"):
+                swap_sorted(sorted_slices(flow), flow)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("other", [[0.0, 1.0, 2.0], [0.0, 1.0]])

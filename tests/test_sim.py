@@ -455,6 +455,107 @@ class TestInPlaceStepping:
             assert np.array_equal(euler(drift, noise, init, tg, record=record), expect), (name, record)
 
 
+class TestNoiseDrawnIntoTheStates:
+    """euler(out=) writes the paths into the caller's time-major array, whose
+    rows 1..M may hold the noise: each step overwrites the increments it has
+    just read, with the bits of separate noise."""
+
+    N, M = 300, 45
+
+    def _drawn(self, seeds, dim):
+        """Paths buffer (R, M+1, n, d) with the noise of seeds in rows 1..M,
+        and the same noise drawn apart, as euler's (R, n, M, d) input."""
+        tg = TimeGrid(1.0, self.M)
+        out = np.empty((len(seeds), self.M + 1, self.N, dim))
+        apart = []
+        for r, s in enumerate(seeds):
+            sample_brownian(s, self.N, tg, dim, out=out[r, 1:])
+            apart.append(sample_brownian(s, self.N, tg, dim).increments)
+        return out, np.stack(apart)
+
+    def _cases(self):
+        game = sign_drift()
+        tg = TimeGrid(1.0, self.M)
+        coupled = nplayer_drift(game, sign_of_mean(tg, start=0.1), tg, self.N)
+        x0 = np.stack([initial_cloud(derive_seed(5, "x0", r), self.N, game.initial.sampler()) for r in range(3)])
+        seeds = [derive_seed(5, "w", r) for r in range(3)]
+        out, apart = self._drawn(seeds[1:2], 1)
+        yield "single", coupled, out[0], apart[0], x0[1]
+        out, apart = self._drawn(seeds, 1)
+        yield "batched", coupled, out, apart, x0
+
+        def two_dim(j, x, step):
+            step[...] = np.tanh(x[..., ::-1]) * (j % 3) - x.mean(axis=-2, keepdims=True)
+
+        out, apart = self._drawn([6], 2)
+        yield "two_dim", two_dim, out[0], apart[0], np.random.default_rng(3).normal(size=(self.N, 2))
+
+    def test_paths_keep_the_bits_of_separate_noise_and_init_is_never_written(self):
+        tg = TimeGrid(1.0, self.M)
+        for name, drift, out, apart, init in self._cases():
+            before = init.copy()
+            expect = euler(drift, apart, init, tg)
+            got = euler(drift, np.swapaxes(out[..., 1:, :, :], -3, -2), init, tg, out=out)
+            assert np.array_equal(got, expect), name
+            assert np.array_equal(init, before), name
+            # the returned states are the caller's buffer, seen particle-major
+            assert np.shares_memory(got, out) and np.array_equal(np.swapaxes(got, -3, -2), out), name
+
+    def test_separate_noise_into_out_keeps_the_bits_and_the_noise(self):
+        tg = TimeGrid(1.0, self.M)
+        for name, drift, out, apart, init in self._cases():
+            kept = apart.copy()
+            got = euler(drift, apart, init, tg, out=out)
+            assert np.array_equal(got, euler(drift, kept, init, tg)), name
+            assert np.array_equal(apart, kept), name
+
+    def test_frozen_flow_draws_into_its_states(self):
+        game = sign_drift()
+        tg = TimeGrid(1.0, self.M)
+        x0 = initial_cloud(derive_seed(2, "x0"), self.N, game.initial.sampler())
+        flow = DeterministicFlow(tg, (0.5 * tg.times).reshape(-1, 1))
+        control = sign_of_mean(tg)
+        alone = simulate_frozen_flow(game, control, flow, sample_brownian(7, self.N, tg), x0)
+        out = np.empty((self.M + 1, self.N, 1))
+        ens = simulate_frozen_flow(game, control, flow, sample_brownian(7, self.N, tg, out=out[1:]), x0, out=out)
+        assert np.array_equal(ens.states, alone.states) and np.shares_memory(ens.states, out)
+        # the increments were overwritten by the paths, so none is handed on
+        assert ens.bundle is None and alone.bundle is not None
+        bundle = sample_brownian(7, self.N, tg)
+        ens = simulate_frozen_flow(game, control, flow, bundle, x0, out=np.empty((self.M + 1, self.N, 1)))
+        assert np.array_equal(ens.states, alone.states) and ens.bundle is bundle
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.empty((4, 3, 1)),  # one row short
+            np.empty((6, 3, 2)),
+            np.empty((6, 3, 1), dtype=np.float32),
+            np.asfortranarray(np.empty((6, 3, 1))),
+            np.empty((6, 6, 1))[:, ::2],  # strided
+            [[[0.0]] * 3] * 6,  # not an array
+        ],
+    )
+    def test_a_bad_out_is_refused_by_name(self, bad):
+        def fill(j, x, step):
+            raise AssertionError("out must be checked before the first step")
+
+        with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 \(6, 3, 1\) array, got "):
+            euler(fill, np.zeros((3, 5, 1)), np.zeros((3, 1)), TimeGrid(1.0, 5), out=bad)
+
+    def test_other_overlaps_and_records_are_refused(self):
+        def fill(j, x, step):
+            raise AssertionError("out must be checked before the first step")
+
+        tg, out = TimeGrid(1.0, 5), np.zeros((6, 3, 1))
+        # noise in rows 0..M-1 would be overwritten one step before it is read
+        with pytest.raises(ValueError, match=r"noise may share memory with out only as out\[\.\.\., 1:, :, :\]"):
+            euler(fill, np.swapaxes(out[:-1], 0, 1), np.zeros((3, 1)), tg, out=out)
+        for record in ("mean", "last"):
+            with pytest.raises(ValueError, match=f"out receives the paths, so it needs record='paths', got '{record}'"):
+                euler(fill, np.zeros((3, 5, 1)), np.zeros((3, 1)), tg, record=record, out=out)
+
+
 class TestFeedbackGroups:
     def test_contiguous_runs_are_slices_and_the_rest_index_arrays(self):
         tg = TimeGrid(1.0, 4)
