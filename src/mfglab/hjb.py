@@ -23,6 +23,8 @@ from .relaxed import _match_drift
 from .rng import BrownianBundle
 from .sim import _standard_error, coefficient_table, path_payoffs, simulate_frozen_flow
 
+_MAX_NODES = 2001  # stable_spatial_grid's cap on the nodes per axis
+
 
 class CFLError(RuntimeError):
     """Raised before any time stepping when the explicit scheme would be unstable."""
@@ -45,8 +47,8 @@ def check_cfl(tgrid: TimeGrid, sgrid: SpatialGrid, drift_bound: float) -> None:
         )
 
 
-def stable_spatial_grid(game: GameSpec, tgrid: TimeGrid, max_nodes: int = 2001) -> SpatialGrid:
-    """Finest shared-count box lattice that keeps the explicit scheme stable.
+def stable_spatial_grid(game: GameSpec, tgrid: TimeGrid) -> SpatialGrid:
+    """Finest stable shared-count box lattice, at most _MAX_NODES per axis.
 
     The box is the game's declared state box, which already covers the
     initial support plus worst-case drift plus six standard deviations.
@@ -56,7 +58,7 @@ def stable_spatial_grid(game: GameSpec, tgrid: TimeGrid, max_nodes: int = 2001) 
     h_min = 0.5 * (dt * b + np.sqrt((dt * b) ** 2 + 4.0 * dt * d))
     span = float((game.state_hi - game.state_lo).min())
     n_nodes = int(np.floor(span / h_min)) + 1
-    n_nodes = max(3, min(n_nodes, max_nodes))
+    n_nodes = max(3, min(n_nodes, _MAX_NODES))
     if n_nodes % 2 == 0:
         # state boxes are centered on the initial support, so an odd count
         # keeps the center (the natural evaluation point) on the lattice
@@ -77,10 +79,6 @@ class ValueField:
     tgrid: TimeGrid
     sgrid: SpatialGrid
     values: np.ndarray  # (M+1, *space_shape)
-
-    def at(self, j: int, x: np.ndarray) -> np.ndarray:
-        idx = self.sgrid.nearest_index(np.asarray(x, dtype=float))
-        return self.values[(j,) + idx]
 
 
 @dataclass

@@ -24,6 +24,8 @@ from .sim import simulate_frozen_flow
 
 log = logging.getLogger(__name__)
 
+_BASELINE_REPS = 3  # same-law pairs averaged by same_law_baseline
+
 
 def candidate_flow(game: GameSpec, tgrid: TimeGrid, mean_path, n_particles: int, seed: int) -> EmpiricalFlow:
     """Sample cloud for the law of (mean_path(t) + W_t) started from the game's
@@ -129,7 +131,7 @@ def picard_mfe(
         flow = EmpiricalFlow(tgrid, samples)  # a new flow: the old one's cached stats are stale
 
         residuals.append(swap_sorted(flow_sorted, flow))
-        endpoints.append(float(flow.mean_path()[-1, 0]))
+        endpoints.append(float(flow.samples[-1].mean(axis=0)[0]))  # mean_path()[-1, 0], read off the last slice
         log.info("picard iteration %d: residual %.6g, mean endpoint %.6g", k, residuals[-1], endpoints[-1])
         if residuals[-1] <= tol:
             converged = True
@@ -196,21 +198,19 @@ def same_law_baseline(
     control: ControlField,
     *,
     seed: int = 0,
-    reps: int = 3,
 ) -> float:
     """Average distance between independent same-law clouds of the flow's size
-    under a control.
+    under a control, over 3 (_BASELINE_REPS) pairs.
 
     This is the Monte Carlo resolution limit: a consistency residual cannot
     be expected to fall below it.
     """
-    reps = positive_count(reps, "reps")
 
     def sorted_side(r: int, side: int) -> np.ndarray:
         return _sorted_fresh_cloud(game, flow, control, seed, "baseline", r, side)
 
     # flow_distance of the two sides, as sorted_distance of their stacks
-    vals = [sorted_distance(sorted_side(r, 0), sorted_side(r, 1)) for r in range(reps)]
+    vals = [sorted_distance(sorted_side(r, 0), sorted_side(r, 1)) for r in range(_BASELINE_REPS)]
     return float(np.mean(vals))
 
 

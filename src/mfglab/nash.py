@@ -31,6 +31,7 @@ from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from .measures import EmpiricalFlow
 from .sim import (
     ParticleEnsemble,
+    _check_feedbacks,
     _feedback_groups,
     _standard_error,
     chunk_inputs,
@@ -150,6 +151,7 @@ def _player0_payoffs(game: GameSpec, feedbacks, noise: np.ndarray, x0: np.ndarra
     is read from the final states, so no path is stored.
     """
     n = x0.shape[-2]
+    _check_feedbacks(game, feedbacks, x0, MeasureStats.from_cloud(x0))
     groups = _feedback_groups(feedbacks, n)
     own = feedbacks if isinstance(feedbacks, ControlField) else feedbacks[0]
     times = tgrid.times
@@ -194,7 +196,8 @@ def exploitability_estimate(
     through the shared Euler loop, and only player 0's payoff is kept.
     Memory is thus bounded by one chunk's noise plus a few (R, n, d) arrays,
     whatever reps is, and the rows are those of running the repetitions one
-    at a time.
+    at a time. Both profiles are refused, as in simulate_nplayer, when a
+    feedback does not fit the game.
     """
     reps, n = positive_count(reps, "reps"), positive_count(n, "n")
     tgrid = mfe_flow.grid

@@ -19,6 +19,8 @@ from .measures import EmpiricalFlow, wasserstein1_1d
 from .rng import BrownianBundle
 from .sim import ParticleEnsemble, integrate_paths
 
+_MIN_COUNT = 30  # fewest particles a bin averages; sparser bins take the slice mean
+
 
 def _bin_index(edges: np.ndarray, x) -> np.ndarray:
     """Index of the bin holding each key: the largest k with edges[k] <= x,
@@ -67,12 +69,8 @@ class DriftTable:
     slice_means: np.ndarray    # (M, d)
     source_flow: EmpiricalFlow
 
-    @property
-    def n_bins(self) -> int:
-        return self.edges.size - 1
-
     def bin_of(self, x: np.ndarray) -> np.ndarray:
-        """Bin index of each state in x.
+        """Bin index of each state in x, among the table's equal-width bins.
 
         Bins are left-closed, [edges[k], edges[k+1]); states below edges[1]
         fall in bin 0, states at or above edges[-2] in the last bin, and NaN
@@ -85,23 +83,20 @@ class DriftTable:
         return self.values[j, self.bin_of(x[:, 0]), :]
 
 
-def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -> DriftTable:
+def project_drift(ensemble: ParticleEnsemble, bins=40) -> DriftTable:
     """Bin-average the ensemble's drifts into a Markovian drift table.
 
     The ensemble must carry its drift samples, as integrate_paths with an
     array drift returns it; the simulators record no drifts.
 
-    bins is a positive int count (equal-width over the pooled state range) or
-    an explicit edge array. Bins holding fewer than min_count particles fall
-    back to the time-slice mean drift and are flagged; that keeps the table
-    bounded by the data and conserves the slice totals wherever no fallback
-    fires.
+    bins is a positive int count of equal-width bins over the pooled state
+    range. Bins holding fewer than 30 (_MIN_COUNT) particles fall back to the
+    time-slice mean drift and are flagged; that keeps the table bounded by
+    the data and conserves the slice totals wherever no fallback fires.
     """
     drifts = ensemble.drifts
     if drifts is None:
         raise ValueError("ensemble carries no drift samples; project_drift needs integrate_paths with an array drift")
-    if isinstance(min_count, bool) or not isinstance(min_count, (int, np.integer)) or min_count < 0:
-        raise ValueError(f"min_count must be an int >= 0, got {min_count!r}")
     if ensemble.dim != 1:
         raise ValueError("drift projection is implemented for one-dimensional states")
     n, M = ensemble.n, ensemble.grid.n_steps
@@ -109,22 +104,11 @@ def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -
         raise ValueError(f"drift samples must be ({n}, {M}, 1), got {drifts.shape}")
 
     x = ensemble.states[:, :M, 0]  # states at step starts
-    if np.isscalar(bins):
-        bins = positive_count(bins, "bins")
-        lo, hi = float(x.min()), float(x.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, bins + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing with at least two entries")
-        if edges[0] > x.min() or edges[-1] < x.max():
-            raise ValueError(
-                f"bin edges [{edges[0]}, {edges[-1]}] do not cover the state range "
-                f"[{x.min():.6g}, {x.max():.6g}]"
-            )
-    n_bins = edges.size - 1
+    n_bins = positive_count(bins, "bins")
+    lo, hi = float(x.min()), float(x.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, n_bins + 1)
 
     values = np.zeros((M, n_bins, 1))
     counts = np.zeros((M, n_bins), dtype=np.intp)
@@ -143,11 +127,9 @@ def project_drift(ensemble: ParticleEnsemble, bins=40, *, min_count: int = 30) -
         cnt = np.bincount(idx, minlength=n_bins)
         tot = np.bincount(idx, weights=col, minlength=n_bins)
         counts[j] = cnt
-        sparse = cnt < min_count
+        sparse = cnt < _MIN_COUNT  # empty bins too: max(cnt, 1) only keeps 0/0 out
         fallback[j] = sparse
-        with np.errstate(invalid="ignore"):
-            avg = np.where(cnt > 0, tot / np.maximum(cnt, 1), 0.0)
-        values[j, :, 0] = np.where(sparse, slice_means[j, 0], avg)
+        values[j, :, 0] = np.where(sparse, slice_means[j, 0], tot / np.maximum(cnt, 1))
 
     return DriftTable(
         grid=ensemble.grid, edges=edges, values=values, counts=counts,

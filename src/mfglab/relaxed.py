@@ -24,6 +24,7 @@ from .measures import sliced_wasserstein1
 from .sim import coefficient_table
 
 _MATCH_TOL = 1e-9  # strict selection's drift-matching tolerance
+_REFERENCE_LEVEL = 256  # occupation_w1's chattering level for the relaxed target
 
 
 def constant_relaxed(tgrid: TimeGrid, agrid: ActionGrid, probs, name: str = "") -> ControlField:
@@ -97,49 +98,36 @@ def chattering_approximation(relaxed: ControlField, substeps: int) -> ControlFie
     return ControlField.pure(fine, relaxed.sgrid, values, name=f"chatter[{relaxed.name or 'relaxed'}x{substeps}]")
 
 
-def _node_index_for(field: ControlField, x=None):
-    if x is None:
-        # default to the spatially constant case: any node represents the field
-        if field.sgrid is None:
-            raise ValueError("grid field expected")
-        flat = field.values.reshape(field.values.shape[0], -1, field.values.shape[-1])
-        if not np.allclose(flat, flat[:, :1, :]):
-            raise ValueError("field varies over space; pass the state x to evaluate at")
-        return (0,) * field.sgrid.dim
-    return field.sgrid.nearest_index(np.atleast_1d(np.asarray(x, dtype=float)))
-
-
-def occupation_samples(field: ControlField, x=None) -> np.ndarray:
-    """Flattened (t, a) sample cloud of a pure field's occupation measure.
-
-    One sample per step at the step midpoint, each carrying equal weight
-    horizon / n_steps.
+def occupation_samples(field: ControlField) -> np.ndarray:
+    """Flattened (t, a) sample cloud of a spatially constant pure field's
+    occupation measure: one sample per step at the step midpoint, each
+    carrying equal weight horizon / n_steps. A field that varies over space
+    is refused by name.
     """
-    if field.is_relaxed:
-        raise ValueError("occupation samples are defined for pure fields; chatter first")
-    idx = _node_index_for(field, x)
-    a = field.values[(slice(None),) + idx]  # (M, ka)
+    if field.mode != "pure":
+        raise ValueError("occupation samples are defined for pure grid fields; chatter a relaxed one first")
+    flat = field.values.reshape(field.values.shape[0], -1, field.values.shape[-1])
+    if not np.allclose(flat, flat[:, :1, :]):
+        raise ValueError(f"field {field.name!r} varies over space; occupation measures need a spatially constant field")
     ts = (np.arange(field.tgrid.n_steps) + 0.5) * field.tgrid.dt
-    return np.column_stack([ts, a])
+    return np.column_stack([ts, flat[:, 0, :]])
 
 
-def occupation_w1(pure: ControlField, relaxed: ControlField, x=None, *, target_level: int = 256) -> float:
+def occupation_w1(pure: ControlField, relaxed: ControlField) -> float:
     """Sliced W1 (measures.sliced_wasserstein1) between a pure field's (t, a)
-    samples and the relaxed target.
+    samples and the relaxed target, both spatially constant.
 
     The relaxed occupation measure dt Lambda_t(da) is represented by a
-    chattering expansion at a level far finer than any level under study, so
-    the reference error is below the quantities being compared.
+    chattering expansion at a level (_REFERENCE_LEVEL) far finer than any
+    level under study, so the reference error is below the quantities being
+    compared.
     """
     if not relaxed.is_relaxed or pure.is_relaxed:
         raise ValueError("expected (pure, relaxed) in that order")
-    target_level = positive_count(target_level, "target_level")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reference = chattering_approximation(relaxed, target_level)
-    sample_p = occupation_samples(pure, x)
-    sample_r = occupation_samples(reference, x)
-    return sliced_wasserstein1(sample_p, sample_r)
+        reference = chattering_approximation(relaxed, _REFERENCE_LEVEL)
+    return sliced_wasserstein1(occupation_samples(pure), occupation_samples(reference))
 
 
 def _running_max(step_max: np.ndarray) -> float:
@@ -179,7 +167,7 @@ class SelectionResult:
     n_nodes: int
 
 
-def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_approximate: bool = False) -> SelectionResult:
+def strict_selection(game: GameSpec, relaxed: ControlField, flow) -> SelectionResult:
     """Collapse a relaxed field to single atoms matching the row-mean drift.
 
     Per (step, node): the candidate atoms minimize |b(t, x, m, a) - mean
@@ -190,14 +178,14 @@ def strict_selection(game: GameSpec, relaxed: ControlField, flow, *, allow_appro
     affine in the action, the reward concave, and the atom lattice contains
     the matching action.
 
-    Games that do not declare drift affine in the action are rejected unless
-    allow_approximate is set, because drift matching inside the atom lattice
-    is then not guaranteed to exist.
+    Games that do not declare drift affine in the action are refused,
+    because drift matching inside the atom lattice is then not guaranteed to
+    exist.
     """
     if not relaxed.is_relaxed:
         raise ValueError("strict selection starts from a relaxed control field")
-    if not game.drift_affine_in_action and not allow_approximate:
-        raise ValueError("game does not declare drift affine in the action; pass allow_approximate=True to proceed")
+    if not game.drift_affine_in_action:
+        raise ValueError(f"game {game.name!r} does not declare drift affine in the action")
     tgrid = relaxed.tgrid
     stats_path = flow.stats_path()
     if len(stats_path) != tgrid.n_steps + 1:

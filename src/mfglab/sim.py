@@ -192,6 +192,27 @@ def _feedback_groups(feedbacks, n: int):
     return groups
 
 
+def _check_feedbacks(game: GameSpec, feedbacks, x0: np.ndarray, stats: MeasureStats) -> None:
+    """Refuse a feedback (shared or a family) whose actions lack the game's
+    action dimension or leave [action_lo, action_hi], NaN too: grid tables
+    whole, relaxed atoms, and analytic actions at step 0 for the initial
+    states x0 (..., n, d); later analytic actions are the caller's to check."""
+    lo, hi, k = game.action_lo, game.action_hi, game.action_dim
+    for field, idx in _feedback_groups(feedbacks, x0.shape[-2]):
+        if field.mode == "analytic":
+            a = field.actions(0, field.tgrid.times[0], x0[..., idx, :], stats)
+        else:
+            a = field.agrid.atoms if field.is_relaxed else field.values
+        where = f"feedback {field.name or field.mode!r} on game {game.name!r}"
+        if a.shape[-1] != k:
+            raise ValueError(f"{where}: actions have dimension {a.shape[-1]}, not the game's action dimension {k}")
+        a = a.reshape(-1, k)
+        # one min and one max per table, written so that a NaN action fails
+        if not (np.all(lo <= a.min(axis=0)) and np.all(a.max(axis=0) <= hi)):
+            row, i = np.argwhere(~((a >= lo) & (a <= hi)))[0]
+            raise ValueError(f"{where}: action {a[row, i]:.6g} in dimension {i} lies outside the action box [{lo[i]:.6g}, {hi[i]:.6g}]")
+
+
 def _prep_init(init: np.ndarray, n: int, dim: int) -> np.ndarray:
     init = np.asarray(init, dtype=float)
     if init.ndim == 1:
@@ -350,10 +371,14 @@ def simulate_nplayer(game: GameSpec, feedbacks, bundle: BrownianBundle, init: np
     and on the statistics of the current empirical measure.
 
     feedbacks is a single ControlField shared by all players or a length-n
-    family (one entry per player, duplicates allowed and grouped).
+    family (one entry per player, duplicates allowed and grouped). A feedback
+    whose actions do not fit the game is refused before the first step: a
+    grid field on its whole table, an analytic one on its step-0 actions at
+    init; later analytic actions are the caller's to keep in the action box.
     """
     _check_bundle(game, bundle)
     init = _prep_init(init, bundle.n, bundle.dim)
+    _check_feedbacks(game, feedbacks, init, MeasureStats.from_cloud(init))
     drift = nplayer_drift(game, feedbacks, bundle.grid, bundle.n)
     return ParticleEnsemble(grid=bundle.grid, states=euler(drift, bundle.increments, init, bundle.grid), bundle=bundle)
 
@@ -371,13 +396,15 @@ def simulate_frozen_flow(
     sample_brownian(..., out=out[1:]): each step then overwrites the
     increments it has just read, so the cloud costs one (M+1, n, d) array
     instead of two, with the same bits. Its increments are gone afterwards,
-    so that ensemble has bundle None.
+    so that ensemble has bundle None. A control that does not fit the game
+    is refused before the first step, as in simulate_nplayer.
     """
     _check_bundle(game, bundle)
     init = _prep_init(init, bundle.n, bundle.dim)
     stats_path = flow.stats_path()
     if len(stats_path) != bundle.grid.n_steps + 1:
         raise ValueError("flow and bundle must share the time grid")
+    _check_feedbacks(game, control, init, stats_path[0])
     times = bundle.grid.times
 
     def drift(j, x, step):

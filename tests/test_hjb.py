@@ -99,7 +99,7 @@ class TestSolveHjb:
         tg = TimeGrid(1.0, 400)
         sg = stable_spatial_grid(game, tg)
         sol = solve_hjb(game, _ramp_flow(tg), sg, default_action_grid(game))
-        v00 = float(sol.value.at(0, np.zeros((1, 1)))[0])
+        v00 = float(sol.value.values[(0,) + sg.nearest_index(np.zeros((1, 1)))][0])
         assert abs(v00 - 1.0) < 0.05
         # feedback +1 on interior nodes at a mid-horizon slice
         interior = sg.nodes()[5:-5]
@@ -115,7 +115,7 @@ class TestSolveHjb:
             tg = TimeGrid(1.0, M)
             sg = stable_spatial_grid(game, tg)
             sol = solve_hjb(game, _zero_flow(tg), sg, default_action_grid(game))
-            vals.append(float(sol.value.at(0, np.zeros((1, 1)))[0]))
+            vals.append(float(sol.value.values[(0,) + sg.nearest_index(np.zeros((1, 1)))][0]))
         assert abs(vals[1] - vals[0]) < 0.05
 
     def test_zero_flow_all_actions_tie_lowest_wins(self):
@@ -133,7 +133,7 @@ class TestSolveHjb:
     def test_negative_or_non_finite_tie_tol_is_refused(self, tie_tol):
         game = sign_drift()
         tg = TimeGrid(1.0, 20)
-        sg = stable_spatial_grid(game, tg, max_nodes=21)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 21)
         with pytest.raises(ValueError, match="tie_tol must be finite and non-negative"):
             solve_hjb(game, _zero_flow(tg), sg, default_action_grid(game), tie_tol=tie_tol)
 
@@ -187,8 +187,8 @@ class TestSolveHjb:
         extra += extra % 2  # keep the node count odd so the center stays on-grid
         wide = SpatialGrid(sg.lo - 3.0, sg.hi + 3.0, sg.n_nodes + extra)
         ag = default_action_grid(game)
-        v1 = float(solve_hjb(game, _ramp_flow(tg), sg, ag).value.at(0, np.zeros((1, 1)))[0])
-        v2 = float(solve_hjb(game, _ramp_flow(tg), wide, ag).value.at(0, np.zeros((1, 1)))[0])
+        v1 = float(solve_hjb(game, _ramp_flow(tg), sg, ag).value.values[(0,) + sg.nearest_index(np.zeros((1, 1)))][0])
+        v2 = float(solve_hjb(game, _ramp_flow(tg), wide, ag).value.values[(0,) + wide.nearest_index(np.zeros((1, 1)))][0])
         assert abs(v1 - v2) < 0.01
 
 
@@ -223,6 +223,14 @@ class TestCfl:
             tg = TimeGrid(1.0, M)
             sg = stable_spatial_grid(game, tg)
             assert tg.dt <= cfl_limit(sg, game.drift_bound) * (1 + 1e-9)
+
+    def test_stable_grid_stops_at_2001_nodes(self):
+        # the CFL-stable count on this grid is far above the cap; the capped
+        # count is odd, so the box center stays a node
+        game = sign_drift()
+        sg = stable_spatial_grid(game, TimeGrid(1.0, 40000))
+        assert hjb._MAX_NODES == sg.n_nodes == 2001
+        assert np.array_equal(sg.nodes()[1000], 0.5 * (game.state_lo + game.state_hi))
 
 
 class TestEvaluatePayoff:
@@ -368,7 +376,7 @@ class TestMatchesPerAtomLoop:
         game = make_game(name)
         tg = TimeGrid(1.0, 60)
         flow = candidate_flow(game, tg, 0.4 * tg.times, 300, derive_seed(1, name))
-        sg = stable_spatial_grid(game, tg, max_nodes=41)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 41)
         ag = default_action_grid(game)
         sol = solve_hjb(game, flow, sg, ag, tie_tol=tie_tol)
         values, controls = _oracle_solve_hjb(game, flow, sg, ag, tie_tol, tie_break)
@@ -472,7 +480,7 @@ class TestCoefficientTable:
     def test_batched_table_equals_the_per_step_table(self, name):
         game = CATALOG_GAMES[name]()
         tg = TimeGrid(1.0, 40)
-        sg = stable_spatial_grid(game, tg, max_nodes=31)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 31)
         ag = ActionGrid(game.action_lo, game.action_hi, 5 if game.action_lo[0] < game.action_hi[0] else 1)
         per_step = dataclasses.replace(game, coefficients_batch_time=False)
         for flow in _catalog_flows(game, tg):
@@ -488,7 +496,7 @@ class TestCoefficientTable:
     def test_catalog_solutions_keep_the_per_step_bits(self, name, tie_break, tie_tol):
         game = CATALOG_GAMES[name]()
         tg = TimeGrid(1.0, 80)
-        sg = stable_spatial_grid(game, tg, max_nodes=41)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 41)
         ag = default_action_grid(game)
         for flow in _catalog_flows(game, tg):
             sol = solve_hjb(game, flow, sg, ag, tie_tol=tie_tol)
@@ -508,7 +516,7 @@ class TestCoefficientTable:
 
         game = dataclasses.replace(base, drift=counted("drift"), running=counted("running"))
         tg = TimeGrid(1.0, 50)
-        sg = stable_spatial_grid(game, tg, max_nodes=31)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 31)
         sol = solve_hjb(game, _ramp_flow(tg), sg, default_action_grid(game))
         assert calls == {"drift": 1, "running": 1}
         values, controls = _per_step_solve_hjb(base, _ramp_flow(tg), sg, default_action_grid(game))
@@ -548,7 +556,7 @@ class TestCoefficientTable:
             coefficients_batch_time=declared,
         )
         tg = TimeGrid(1.0, 40)
-        sg = stable_spatial_grid(game, tg, max_nodes=31)
+        sg = SpatialGrid(game.state_lo, game.state_hi, 31)
         ag = default_action_grid(game)
         with pytest.raises(FloatingPointError) as expected:
             _per_step_solve_hjb(game, _ramp_flow(tg), sg, ag)

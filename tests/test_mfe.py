@@ -164,6 +164,17 @@ class TestPicardMix:
         res = picard_mfe(game, init, damping=damping, tol=0.0, max_iter=3, seed=5)
         assert drawn == [int(round(damping * n))] * res.iterations
 
+    @pytest.mark.parametrize("damping", [0.3, 0.5, 1.0])
+    def test_endpoints_are_the_mean_path_at_the_horizon(self, damping):
+        # read off the last slice alone, each endpoint keeps the bits of the
+        # last entry of its flow's whole mean path
+        game = _spread(monotone_lq())
+        init = _ramp_init(game, self.TG, 0.5, n=1001)
+        kw = {"damping": damping, "tol": 0.0, "seed": 9}
+        res = picard_mfe(game, init, max_iter=3, **kw)
+        flows = [picard_mfe(game, init, max_iter=k, **kw).flow for k in (1, 2)] + [res.flow]
+        assert res.mean_endpoints == [float(flow.mean_path()[-1, 0]) for flow in flows]
+
     def test_no_fresh_particle_kept(self, monkeypatch):
         # round(0.1 * 4) == 0: the mix would only reshuffle the old paths and
         # report residual 0.0, so the damping is refused before any solve
@@ -228,12 +239,12 @@ class TestConsistency:
         assert b_big < b_small
 
     def test_baseline_matches_the_two_flow_loop(self):
-        def oracle(game, flow, control, seed, reps):
+        def oracle(game, flow, control, seed):
             # same_law_baseline as it stood: both sides' flows held at once,
-            # compared by flow_distance
+            # compared by flow_distance, over three pairs
             tgrid, n = flow.grid, flow.n_particles
             vals = []
-            for r in range(reps):
+            for r in range(3):
                 ens = []
                 for side in (0, 1):
                     bundle = sample_brownian(derive_seed(seed, "baseline", r, side), n, tgrid, game.dim)
@@ -246,8 +257,8 @@ class TestConsistency:
         tg = TimeGrid(1.0, 40)
         flow = _ramp_init(game, tg, 0.5, n=1024)
         control = solve_hjb(game, flow, stable_spatial_grid(game, tg), default_action_grid(game)).control
-        for seed, reps in ((3, 3), (4, 1), (5, 4)):
-            assert same_law_baseline(game, flow, control, seed=seed, reps=reps) == oracle(game, flow, control, seed, reps)
+        for seed in (3, 4, 5):
+            assert same_law_baseline(game, flow, control, seed=seed) == oracle(game, flow, control, seed)
 
     def test_residual_matches_the_flow_distance(self):
         def oracle(game, flow, control, seed):
@@ -264,13 +275,6 @@ class TestConsistency:
         control = solve_hjb(game, flow, stable_spatial_grid(game, tg), default_action_grid(game)).control
         for seed in (3, 4):
             assert consistency_residual(game, flow, control, seed=seed) == oracle(game, flow, control, seed)
-
-    @pytest.mark.parametrize("bad", [0, -1, False, 1.0])
-    def test_baseline_refuses_bad_reps(self, bad):
-        game = sign_drift()
-        tg = TimeGrid(1.0, 10)
-        with pytest.raises(ValueError, match="reps"):
-            same_law_baseline(game, _ramp_init(game, tg, 0.0, n=16), ControlField.constant(tg, 0.0), reps=bad)
 
 
 def _peak_in_stacks(run, flow):

@@ -51,7 +51,7 @@ def _searchsorted_bins(edges, x):
     return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
 
 
-def _project_drift_oracle(ensemble, edges, min_count=30):
+def _project_drift_oracle(ensemble, edges):
     """project_drift's per-step loop as it stood, binning with np.searchsorted."""
     n_bins, M = edges.size - 1, ensemble.grid.n_steps
     x, drifts = ensemble.states[:, :M, 0], ensemble.drifts
@@ -64,7 +64,7 @@ def _project_drift_oracle(ensemble, edges, min_count=30):
         cnt = np.bincount(idx, minlength=n_bins)
         tot = np.bincount(idx, weights=drifts[:, j, 0], minlength=n_bins)
         counts[j] = cnt
-        sparse = cnt < min_count
+        sparse = cnt < 30
         fallback[j] = sparse
         with np.errstate(invalid="ignore"):
             avg = np.where(cnt > 0, tot / np.maximum(cnt, 1), 0.0)
@@ -117,22 +117,24 @@ class TestBinIndex:
         assert np.array_equal(_bin_index(edges, keys), _searchsorted_bins(edges, keys))
         assert _bin_index(edges, 0.35) == 3
 
-
-class TestProjectDrift:
-    @pytest.mark.parametrize("uneven", [False, True])
-    def test_table_matches_the_searchsorted_loop(self, uneven):
+    def test_uneven_edges_at_sampled_states(self):
+        # edges at sampled states, unevenly spaced, so some keys sit exactly
+        # on an edge and the even-width guess needs several correction passes
         tg = TimeGrid(1.0, 40)
         ens = _coin_paths(6000, tg, seed=13)
-        bins = 40
-        if uneven:
-            # edges at sampled states, unevenly spaced, so some keys sit
-            # exactly on an edge; the outer edges are the state range
-            x = np.sort(ens.states[:, : tg.n_steps, 0], axis=None)
-            picks = np.unique((np.linspace(0.0, 1.0, 30) ** 2 * (x.size - 1)).astype(int))
-            bins = np.unique(np.concatenate([[x[0]], x[picks], [x[-1]]]))
-        table = project_drift(ens, bins=bins)
-        if not uneven:
-            assert np.array_equal(table.edges, np.linspace(ens.states[:, :-1, 0].min(), ens.states[:, :-1, 0].max(), 41))
+        x = np.sort(ens.states[:, : tg.n_steps, 0], axis=None)
+        picks = np.unique((np.linspace(0.0, 1.0, 30) ** 2 * (x.size - 1)).astype(int))
+        edges = np.unique(np.concatenate([[x[0]], x[picks], [x[-1]]]))
+        keys = np.concatenate([ens.states[:, : tg.n_steps, 0].ravel(), _edge_keys(edges)])
+        assert np.array_equal(_bin_index(edges, keys), _searchsorted_bins(edges, keys))
+
+
+class TestProjectDrift:
+    def test_table_matches_the_searchsorted_loop(self):
+        tg = TimeGrid(1.0, 40)
+        ens = _coin_paths(6000, tg, seed=13)
+        table = project_drift(ens, bins=40)
+        assert np.array_equal(table.edges, np.linspace(ens.states[:, :-1, 0].min(), ens.states[:, :-1, 0].max(), 41))
         values, counts, fallback, slice_means = _project_drift_oracle(ens, table.edges)
         assert np.array_equal(table.values, values)
         assert np.array_equal(table.counts, counts)
@@ -149,7 +151,7 @@ class TestProjectDrift:
         n = 5000
         drift = np.random.default_rng(derive_seed(1, "random-drift")).normal(size=(n, tg.n_steps, 1))
         ens = integrate_paths(drift, sample_brownian(derive_seed(1, "w"), n, tg, 1), np.zeros((n, 1)))
-        table = project_drift(ens, bins=25, min_count=150)
+        table = project_drift(ens, bins=25)
         oracle = np.ascontiguousarray(ens.drifts).mean(axis=0)
         assert np.array_equal(np.ascontiguousarray(ens.drifts), drift)
         assert np.abs(table.slice_means - oracle).max() <= 1e-12
@@ -165,8 +167,8 @@ class TestProjectDrift:
         ens = integrate_paths(drift, sample_brownian(derive_seed(2, "w"), n, tg, 1), np.zeros((n, 1)))
         assert np.shares_memory(ens.drifts, drift) and ens.drifts.flags.c_contiguous
         time_major = np.swapaxes(np.ascontiguousarray(np.swapaxes(ens.drifts, 0, 1)), 0, 1)
-        a = project_drift(ens, bins=25, min_count=150)
-        b = project_drift(dataclasses.replace(ens, drifts=time_major), bins=25, min_count=150)
+        a = project_drift(ens, bins=25)
+        b = project_drift(dataclasses.replace(ens, drifts=time_major), bins=25)
         assert a.fallback.any() and not a.fallback.all()
         for name in ("values", "slice_means", "counts", "fallback"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -236,26 +238,28 @@ class TestProjectDrift:
     def test_sparse_bins_fall_back_to_slice_mean(self):
         tg = TimeGrid(1.0, 40)
         ens = _coin_paths(200, tg, seed=5)
-        table = project_drift(ens, bins=40, min_count=30)
+        table = project_drift(ens, bins=40)
         assert table.fallback.any()
         j, b = np.argwhere(table.fallback)[0]
         assert table.values[j, b, 0] == table.slice_means[j, 0]
 
-    def test_min_count_zero_disables_fallback_on_populated_bins(self):
-        tg = TimeGrid(1.0, 20)
-        ens = _coin_paths(400, tg, seed=6)
-        table = project_drift(ens, bins=10, min_count=0)
-        assert not table.fallback.any()
+    def test_a_bin_of_30_averages_and_a_bin_of_29_falls_back(self):
+        # one step; 29 particles start at 0 with drift 1, 30 start at 1 with
+        # drift 3, so bin 0 of edges (0, 0.5, 1) holds 29 and bin 1 holds 30
+        tg = TimeGrid(1.0, 1)
+        init = np.repeat([0.0, 1.0], [29, 30])[:, None]
+        drift = np.repeat([1.0, 3.0], [29, 30]).reshape(59, 1, 1)
+        ens = integrate_paths(drift, sample_brownian(derive_seed(7, "hand"), 59, tg, 1), init)
+        table = project_drift(ens, bins=2)
+        assert table.counts.tolist() == [[29, 30]]
+        assert table.fallback.tolist() == [[True, False]]
+        assert table.values[0, :, 0].tolist() == [table.slice_means[0, 0], 3.0]
+        assert table.slice_means[0, 0] == (29 * 1.0 + 30 * 3.0) / 59
 
-    def test_bad_bin_specs_rejected(self):
-        tg = TimeGrid(1.0, 20)
-        ens = _coin_paths(100, tg, seed=7)
-        with pytest.raises(ValueError):
-            project_drift(ens, bins=np.array([0.0, -1.0, 1.0]))
-        with pytest.raises(ValueError):
-            project_drift(ens, bins=np.array([0.5]))
-        with pytest.raises(ValueError):
-            project_drift(ens, bins=np.array([-0.1, 0.0, 0.1]))  # narrower than the data
+    def test_edge_arrays_are_refused_by_name(self):
+        ens = _coin_paths(100, TimeGrid(1.0, 20), seed=7)
+        with pytest.raises(ValueError, match=r"^bins must be an int, got array\("):
+            project_drift(ens, bins=np.array([-5.0, 0.0, 5.0]))
 
     @pytest.mark.parametrize("bins,message", [
         (True, "bins must be an int, got True"),
@@ -267,12 +271,6 @@ class TestProjectDrift:
         ens = _coin_paths(100, TimeGrid(1.0, 20), seed=7)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             project_drift(ens, bins=bins)
-
-    @pytest.mark.parametrize("min_count", [-1, 2.5, True])
-    def test_bad_min_count_is_refused_by_name(self, min_count):
-        ens = _coin_paths(100, TimeGrid(1.0, 20), seed=7)
-        with pytest.raises(ValueError, match=rf"^min_count must be an int >= 0, got {min_count!r}$"):
-            project_drift(ens, min_count=min_count)
 
     def test_numpy_bin_count_is_accepted(self):
         ens = _coin_paths(100, TimeGrid(1.0, 20), seed=7)

@@ -275,12 +275,6 @@ class TestCountArguments:
         with pytest.raises(ValueError, match="substeps"):
             chattering_approximation(self._rel(), bad)
 
-    @pytest.mark.parametrize("bad", [2.5, True, 0])
-    def test_target_level(self, bad):
-        rel = self._rel()
-        with pytest.raises(ValueError, match="target_level"):
-            occupation_w1(chattering_approximation(rel, 4), rel, target_level=bad)
-
     @pytest.mark.parametrize("bad", [-3, True, 2.5])
     def test_total(self, bad):
         with pytest.raises(ValueError, match="total"):
@@ -299,7 +293,7 @@ class TestOccupationDistances:
         rng = np.random.default_rng(derive_seed(4, "rows"))
         rel = constant_relaxed(tg, ag, rng.dirichlet(np.ones(3), size=tg.n_steps))
         chat = chattering_approximation(rel, 256)
-        assert occupation_w1(chat, rel, target_level=256) == 0.0
+        assert occupation_w1(chat, rel) == 0.0
 
     def test_distance_shrinks_with_level(self):
         tg = TimeGrid(1.0, 10)
@@ -338,41 +332,33 @@ class TestOccupationDistances:
             occupation_w1(chat, chat)
 
     def test_occupation_samples_match_the_per_step_loop(self):
-        def per_step(field, x=None):
-            # the per-step gather occupation_samples replaced
-            if x is None:
-                idx = (0,) * field.sgrid.dim
-            else:
-                idx = field.sgrid.nearest_index(np.atleast_1d(np.asarray(x, dtype=float)))
-            a = np.stack([field.values[(j,) + idx] for j in range(field.tgrid.n_steps)])
+        def per_step(field):
+            # the per-step gather occupation_samples replaced, at node 0
+            a = np.stack([field.values[(j,) + (0,) * field.sgrid.dim] for j in range(field.tgrid.n_steps)])
             ts = (np.arange(field.tgrid.n_steps) + 0.5) * field.tgrid.dt
             return np.column_stack([ts, a])
 
         tg = TimeGrid(1.0, 7)
-        ag = _three_atoms()
         rng = np.random.default_rng(derive_seed(6, "rows"))
-        flat = constant_relaxed(tg, ag, rng.dirichlet(np.ones(3), size=tg.n_steps))
-        sg = SpatialGrid(np.array([-1.0]), np.array([1.0]), 5)
-        varying = ControlField.relaxed(tg, sg, ag, rng.dirichlet(np.ones(3), size=(tg.n_steps, 5)))
+        flat = constant_relaxed(tg, _three_atoms(), rng.dirichlet(np.ones(3), size=tg.n_steps))
         for N in (1, 4, 9):
             chat = chattering_approximation(flat, N)
             assert np.array_equal(occupation_samples(chat), per_step(chat))
-            chat = chattering_approximation(varying, N)
-            for x in (-1.0, -0.3, 0.2, 0.99, 5.0):
-                assert np.array_equal(occupation_samples(chat, x), per_step(chat, x))
 
-    def test_spatially_varying_field_needs_a_state(self):
+    def test_spatially_varying_field_is_refused_by_name(self):
         tg = TimeGrid(1.0, 4)
         ag = _three_atoms()
         sg = SpatialGrid(np.array([-1.0]), np.array([1.0]), 3)
         probs = np.zeros((4, 3, 3))
         probs[:, :, 0] = np.array([0.1, 0.5, 0.9])
         probs[:, :, 2] = 1.0 - probs[:, :, 0]
-        rel = ControlField.relaxed(tg, sg, ag, probs)
-        chat = chattering_approximation(rel, 4)
-        with pytest.raises(ValueError, match="varies over space"):
-            occupation_w1(chat, rel)
-        assert occupation_w1(chat, rel, x=0.0) >= 0.0
+        varying = ControlField.relaxed(tg, sg, ag, probs, name="varying")
+        flat = constant_relaxed(tg, ag, np.tile([0.2, 0.3, 0.5], (4, 1)), name="flat")
+        # the relaxed field is refused through its reference chattering
+        with pytest.raises(ValueError, match=r"^field 'chatter\[varyingx256\]' varies over space"):
+            occupation_w1(chattering_approximation(flat, 4), varying)
+        with pytest.raises(ValueError, match=r"^field 'chatter\[varyingx4\]' varies over space"):
+            occupation_w1(chattering_approximation(varying, 4), flat)
 
 
 class TestStrictSelection:
@@ -415,10 +401,8 @@ class TestStrictSelection:
         ag = _three_atoms()
         rel = constant_relaxed(tg, ag, np.tile([0.5, 0.0, 0.5], (tg.n_steps, 1)))
         game = dataclasses.replace(sign_drift(), drift_affine_in_action=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^game 'sign_drift' does not declare drift affine in the action$"):
             strict_selection(game, rel, _flat_flow(tg))
-        res = strict_selection(game, rel, _flat_flow(tg), allow_approximate=True)
-        assert res.drift_mismatch == 0.0
 
     def test_flow_grid_must_match(self):
         tg = TimeGrid(1.0, 8)
@@ -515,7 +499,7 @@ class TestSelectionMatchesPerAtomLoop:
         rng = np.random.default_rng(derive_seed(8, name))
         rel = ControlField.relaxed(tg, sg, ag, rng.dirichlet(np.ones(5), size=(tg.n_steps, 25)))
         flow = candidate_flow(game, tg, 0.3 * tg.times, 200, derive_seed(8, "flow"))
-        res = strict_selection(game, rel, flow, allow_approximate=True)
+        res = strict_selection(game, rel, flow)
         selected, mismatch, violations, loss = _oracle_strict_selection(game, rel, flow)
         assert np.array_equal(res.control.values, selected)
         assert (res.drift_mismatch, res.reward_violations, res.worst_reward_loss) == (mismatch, violations, loss)

@@ -18,6 +18,7 @@ from mfglab.games import (
 )
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.measures import DeterministicFlow, EmpiricalFlow
+from mfglab.nash import exploitability_estimate
 from mfglab import sim
 from mfglab.relaxed import constant_relaxed
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
@@ -629,6 +630,83 @@ class TestFiniteCheck:
         tg = TimeGrid(1.0, 3)
         states = euler(lambda j, x, out: out.fill(1e200), np.zeros((4, 3, 1)), np.zeros((4, 1)), tg)
         assert np.isfinite(states).all()
+
+
+class TestFeedbackFitsTheGame:
+    """Each simulator refuses, before stepping, a feedback whose actions leave
+    the game's action box or have the wrong dimension."""
+
+    OUTSIDE = r"^feedback 'constant\[\[5\.0\]\]' on game 'sign_drift': action 5 in dimension 0 lies outside the action box \[-1, 1\]$"
+
+    def _runs(self, game, field):
+        """simulate_nplayer, then simulate_frozen_flow, then exploitability_estimate, under field."""
+        tg, bundle, x0 = _setup(game, 8, 10)
+        flow = DeterministicFlow(tg, np.zeros(tg.n_steps + 1))
+        yield lambda: simulate_nplayer(game, field, bundle, x0)
+        yield lambda: simulate_frozen_flow(game, field, flow, bundle, x0)
+        yield lambda: exploitability_estimate(game, flow, field, n=8, reps=2, br_control=ControlField.constant(tg, 0.0))
+        yield lambda: exploitability_estimate(game, flow, ControlField.constant(tg, 0.0), n=8, reps=2, br_control=field)
+
+    def test_action_outside_the_box_is_refused_by_every_simulator(self):
+        game = sign_drift()
+        for run in self._runs(game, ControlField.constant(TimeGrid(1.0, 10), [5.0])):
+            with pytest.raises(ValueError, match=self.OUTSIDE):
+                run()
+
+    def test_wrong_action_dimension_is_refused_by_every_simulator(self):
+        game = sign_drift()
+        message = r"^feedback 'two' on game 'sign_drift': actions have dimension 2, not the game's action dimension 1$"
+        for run in self._runs(game, ControlField.constant(TimeGrid(1.0, 10), [0.5, -0.5], name="two")):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+    def test_one_player_of_a_family_is_enough(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 10)
+        family = [sign_of_mean(tg)] * 3 + [ControlField.constant(tg, [5.0])] + [sign_of_mean(tg)] * 4
+        with pytest.raises(ValueError, match=self.OUTSIDE):
+            simulate_nplayer(game, family, bundle, x0)
+
+    @pytest.mark.parametrize("bad,shown", [(1.5, "1.5"), (np.nan, "nan")])
+    def test_grid_table_is_checked_whole(self, bad, shown):
+        # a single entry, at the last step, is enough to refuse the table
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 10)
+        sg = SpatialGrid(np.array([-2.0]), np.array([2.0]), 5)
+        values = np.zeros((tg.n_steps, 5, 1))
+        values[-1, 3, 0] = bad
+        field = ControlField.pure(tg, sg, values, name="table")
+        with pytest.raises(ValueError, match=rf"^feedback 'table' on game 'sign_drift': action {shown} in dimension 0 lies outside"):
+            simulate_nplayer(game, field, bundle, x0)
+
+    def test_relaxed_atoms_are_checked(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 10)
+        wide = ActionGrid(np.array([-2.0]), np.array([2.0]), 3)
+        field = constant_relaxed(tg, wide, np.tile([0.0, 1.0, 0.0], (tg.n_steps, 1)), name="wide")
+        with pytest.raises(ValueError, match=r"^feedback 'wide' on game 'sign_drift': action -2 in dimension 0 lies outside"):
+            simulate_nplayer(game, field, bundle, x0)
+
+    def test_analytic_nan_at_step_0_is_refused(self):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 10)
+        field = ControlField.analytic(tg, lambda t, x, stats: np.full(x.shape, np.nan), name="nan")
+        with pytest.raises(ValueError, match=r"^feedback 'nan' on game 'sign_drift': action nan in dimension 0"):
+            simulate_nplayer(game, field, bundle, x0)
+
+    def test_analytic_field_costs_one_extra_call(self):
+        # the check calls an analytic field once, at step 0 on the initial
+        # states; later actions are the caller's to keep in the box
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 10)
+        calls = []
+
+        def func(t, x, stats):
+            calls.append(t)
+            return np.full(x.shape, 0.5 if t == 0.0 else 3.0)
+
+        simulate_nplayer(game, ControlField.analytic(tg, func), bundle, x0)
+        assert calls == [0.0] + list(tg.times[:-1])
 
 
 class TestNonFiniteInitialStates:
