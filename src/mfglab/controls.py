@@ -107,14 +107,3 @@ def sign_of_mean(tgrid: TimeGrid, start: float = 0.0) -> ControlField:
 
     return ControlField.analytic(tgrid, func, name=f"sign_of_mean[start={start}]")
 
-
-def sign_of_state(tgrid: TimeGrid, start: float = 0.0) -> ControlField:
-    """Drift with the sign of the particle's own state once t > start."""
-
-    def func(t, x, stats):
-        if t > start:
-            return np.sign(x[..., :1])
-        return np.zeros(x.shape[:-1] + (1,))
-
-    return ControlField.analytic(tgrid, func, name=f"sign_of_state[start={start}]")
-

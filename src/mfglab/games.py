@@ -293,29 +293,6 @@ def mean_drift_ode_rhs(game: GameSpec):
     return lambda m: float(B(np.asarray(m, dtype=float), scale))
 
 
-def driftless(horizon: float = 1.0, x0: float = 0.0) -> GameSpec:
-    """No drift, no rewards: pure Brownian motion, used for baselines."""
-    initial = InitialLaw("point", [x0], [0.0])
-    lo, hi = _default_state_box(initial, 0.0, horizon)
-    return GameSpec(
-        name="driftless",
-        action_lo=[0.0],
-        action_hi=[0.0],
-        horizon=horizon,
-        initial=initial,
-        drift=lambda t, x, m, a: np.zeros_like(x),
-        running=_zero_running,
-        terminal=_zero_terminal,
-        drift_bound=1e-12,
-        running_bound=0.0,
-        terminal_bound=0.0,
-        state_lo=lo,
-        state_hi=hi,
-        coefficients_batch_time=True,
-        params={"horizon": horizon, "x0": x0},
-    )
-
-
 def tracking_lq(horizon: float = 1.0, target: float = 1.0, action_cost: float = 0.0) -> GameSpec:
     """Steer toward a fixed target: g = -(x - target)^2, optional -c*a^2 cost.
 
@@ -348,13 +325,7 @@ GAME_CATALOG: dict = {
     "sign_drift": sign_drift,
     "monotone_lq": monotone_lq,
     "mean_drift": mean_drift,
-    "driftless": driftless,
     "tracking_lq": tracking_lq,
     "action_square": action_square,
 }
 
-
-def make_game(name: str, **params) -> GameSpec:
-    if name not in GAME_CATALOG:
-        raise KeyError(f"unknown game {name!r}; catalog has {sorted(GAME_CATALOG)}")
-    return GAME_CATALOG[name](**params)

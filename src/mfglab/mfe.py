@@ -30,6 +30,7 @@ _BASELINE_REPS = 3  # same-law pairs averaged by same_law_baseline
 def candidate_flow(game: GameSpec, tgrid: TimeGrid, mean_path, n_particles: int, seed: int) -> EmpiricalFlow:
     """Sample cloud for the law of (mean_path(t) + W_t) started from the game's
     initial law; the standard shape for equilibrium candidates of unit-noise games."""
+    n_particles = positive_count(n_particles, "n_particles")
     mean_path = np.asarray(mean_path, dtype=float)
     if mean_path.ndim == 1:
         mean_path = mean_path[:, None]

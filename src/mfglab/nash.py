@@ -8,7 +8,10 @@ alpha to beta along realized paths is
 
 with Xi evaluated at the step start. Each one-step factor has exact unit
 conditional expectation (Xi is fixed when the Gaussian increment arrives),
-so sample means of zeta_T sit near one at every discretization.
+so sample means of zeta_T sit near one at every discretization. Both
+weights, each player's (girsanov_weights) and player 0's through the
+averaged noise (averaged_deviation_weight), take Xi from one walk over the
+stored paths, _drift_difference; the second runs it on player 0 alone.
 
 The exploitability estimate steps all repetitions of one population size
 together through the shared Euler loop, in chunks whose noise fits the same
@@ -28,7 +31,6 @@ from .controls import ControlField
 from .games import GameSpec, MeasureStats
 from .grids import positive_count
 from .hjb import default_action_grid, solve_hjb, stable_spatial_grid
-from .measures import EmpiricalFlow
 from .sim import (
     ParticleEnsemble,
     _check_feedbacks,
@@ -70,17 +72,23 @@ def _drift_difference(game: GameSpec, ensemble: ParticleEnsemble, stats_path, ol
     return xi
 
 
+def _deviation_stats(ensemble: ParticleEnsemble, flow) -> list:
+    """flow's stats path; refuses an ensemble without its noise and a flow on another grid."""
+    if ensemble.bundle is None:
+        raise ValueError("ensemble must retain its Brownian bundle to form weights")
+    if flow.grid != ensemble.grid:
+        raise ValueError(f"flow time grid {flow.grid} differs from the ensemble's grid {ensemble.grid}")
+    return flow.stats_path()
+
+
 def girsanov_weights(game: GameSpec, ensemble: ParticleEnsemble, flow, old, new) -> GirsanovWeights:
     """Weights for switching each player from old to new, one player at a time.
 
     flow supplies the measure statistics entering coefficients and controls;
     pass the ensemble's own empirical flow for coupled-game paths. The
-    ensemble must retain its BrownianBundle.
+    ensemble must retain its BrownianBundle, and flow must be on its grid.
     """
-    if ensemble.bundle is None:
-        raise ValueError("ensemble must retain its Brownian bundle to form weights")
-    stats_path = flow.stats_path()
-    xi = _drift_difference(game, ensemble, stats_path, old, new)
+    xi = _drift_difference(game, ensemble, _deviation_stats(ensemble, flow), old, new)
     dt = ensemble.grid.dt
     dw = ensemble.bundle.increments
     log_inc = np.einsum("njd,njd->nj", xi, dw) - 0.5 * np.einsum("njd,njd->nj", xi, xi) * dt
@@ -94,40 +102,20 @@ def averaged_deviation_weight(game: GameSpec, ensemble: ParticleEnsemble, flow, 
     The change of measure that maps the population mean path onto the mean
     path with player 0 deviating is driven by the normalized average
     Brownian motion; its integrand carries a 1/sqrt(n) factor, so the
-    relative entropy of the tilt shrinks like 1/n.
+    relative entropy of the tilt shrinks like 1/n. Player 0's drift
+    differences are _drift_difference's on the one-player view of the
+    ensemble; the exponent is summed step by step in Python floats.
     """
-    if ensemble.bundle is None:
-        raise ValueError("ensemble must retain its Brownian bundle to form weights")
-    stats_path = flow.stats_path()
-    n, M = ensemble.n, ensemble.grid.n_steps
-    times = ensemble.grid.times
-    dt = ensemble.grid.dt
+    stats_path = _deviation_stats(ensemble, flow)
+    n, dt = ensemble.n, ensemble.grid.dt
+    player0 = ParticleEnsemble(grid=ensemble.grid, states=ensemble.states[:1])
+    xi0 = _drift_difference(game, player0, stats_path, old if isinstance(old, ControlField) else old[0], new)[0]
     w_bar = ensemble.bundle.averaged()  # (M, d)
     root_n = np.sqrt(n)
-
-    old0 = old if isinstance(old, ControlField) else old[0]
     log_z = 0.0
-    for j in range(M):
-        x0 = ensemble.states[:1, j, :]
-        stats = stats_path[j]
-        xi0 = control_drift(game, new, j, times[j], x0, stats)[0] - control_drift(game, old0, j, times[j], x0, stats)[0]
-        log_z += float(xi0 @ w_bar[j]) / root_n - 0.5 * float(xi0 @ xi0) * dt / n
+    for xi, dw in zip(xi0, w_bar):
+        log_z += float(xi @ dw) / root_n - 0.5 * float(xi @ xi) * dt / n
     return float(np.exp(log_z))
-
-
-def reweighted_statistic(weights: GirsanovWeights, ensemble: ParticleEnsemble, h):
-    """Average of zeta_T * h(empirical flow) over players.
-
-    h is a callable on flows. Returns (value, spread) where spread is the
-    across-player standard error treated as exchangeable; players are
-    correlated through the common flow, so the spread is a resolution
-    indicator rather than a strict confidence radius.
-    """
-    if not callable(h):
-        raise ValueError(f"h must be a callable on flows, got {h!r}")
-    hv = float(h(EmpiricalFlow.from_ensemble(ensemble)))
-    vals = weights.terminal * hv
-    return float(vals.mean()), _standard_error(vals)
 
 
 @dataclass
@@ -151,7 +139,7 @@ def _player0_payoffs(game: GameSpec, feedbacks, noise: np.ndarray, x0: np.ndarra
     is read from the final states, so no path is stored.
     """
     n = x0.shape[-2]
-    _check_feedbacks(game, feedbacks, x0, MeasureStats.from_cloud(x0))
+    _check_feedbacks(game, feedbacks, x0, MeasureStats.from_cloud(x0), tgrid)
     groups = _feedback_groups(feedbacks, n)
     own = feedbacks if isinstance(feedbacks, ControlField) else feedbacks[0]
     times = tgrid.times

@@ -129,6 +129,13 @@ def _stream_indices(particles, n: int) -> list:
     return ids.tolist()
 
 
+def check_out(out, shape: tuple) -> None:
+    """Refuse out, by name, unless it is a C-contiguous float64 array of the given shape."""
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ValueError(f"out must be a C-contiguous float64 {shape} array, got {got}")
+
+
 def sample_brownian(
     seed: int, n: int, grid: TimeGrid, dim: int = 1, *, out: np.ndarray | None = None, particles=None
 ) -> BrownianBundle:
@@ -156,8 +163,8 @@ def sample_brownian(
     shape = (M, n, dim)
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 {shape} array, got {out.dtype} {out.shape}")
+    else:
+        check_out(out, shape)
     stream = _PhiloxStreams().stream
     scale = np.sqrt(grid.dt)
     block = np.empty((min(n, max(1, _NOISE_BLOCK_BYTES // (M * dim * 8))), M, dim))

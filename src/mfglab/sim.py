@@ -36,7 +36,7 @@ import numpy as np
 from .controls import ControlField
 from .games import GameSpec, MeasureStats
 from .grids import TimeGrid
-from .rng import BrownianBundle, derive_seed, initial_cloud, sample_brownian
+from .rng import BrownianBundle, check_out, derive_seed, initial_cloud, sample_brownian
 
 # Noise held by one chunk of repetitions. A chunk takes as many repetitions as
 # fit under it (at least one); it bounds the memory of a batched run and does
@@ -192,18 +192,22 @@ def _feedback_groups(feedbacks, n: int):
     return groups
 
 
-def _check_feedbacks(game: GameSpec, feedbacks, x0: np.ndarray, stats: MeasureStats) -> None:
+def _check_feedbacks(game: GameSpec, feedbacks, x0: np.ndarray, stats: MeasureStats, grid: TimeGrid) -> None:
     """Refuse a feedback (shared or a family) whose actions lack the game's
     action dimension or leave [action_lo, action_hi], NaN too: grid tables
     whole, relaxed atoms, and analytic actions at step 0 for the initial
-    states x0 (..., n, d); later analytic actions are the caller's to check."""
+    states x0 (..., n, d); later analytic actions are the caller's to check.
+    A grid field, read by step index, must also be on the simulation's grid;
+    an analytic field reads only the time, so its grid is not compared."""
     lo, hi, k = game.action_lo, game.action_hi, game.action_dim
     for field, idx in _feedback_groups(feedbacks, x0.shape[-2]):
+        where = f"feedback {field.name or field.mode!r} on game {game.name!r}"
         if field.mode == "analytic":
             a = field.actions(0, field.tgrid.times[0], x0[..., idx, :], stats)
+        elif field.tgrid != grid:
+            raise ValueError(f"{where}: time grid {field.tgrid} is not the simulation's grid {grid}")
         else:
             a = field.agrid.atoms if field.is_relaxed else field.values
-        where = f"feedback {field.name or field.mode!r} on game {game.name!r}"
         if a.shape[-1] != k:
             raise ValueError(f"{where}: actions have dimension {a.shape[-1]}, not the game's action dimension {k}")
         a = a.reshape(-1, k)
@@ -250,9 +254,7 @@ def _states_buffer(out, dw: np.ndarray, shape: tuple) -> np.ndarray:
     """The (..., M+1, n, d) states array of euler: out checked, or a new one."""
     if out is None:
         return np.empty(shape)
-    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
-        raise ValueError(f"out must be a C-contiguous float64 {shape} array, got {got}")
+    check_out(out, shape)
     rows = out[..., 1:, :, :]
     in_place = dw.__array_interface__["data"][0] == rows.__array_interface__["data"][0] and dw.strides == rows.strides
     if not in_place and np.may_share_memory(dw, out):
@@ -378,7 +380,7 @@ def simulate_nplayer(game: GameSpec, feedbacks, bundle: BrownianBundle, init: np
     """
     _check_bundle(game, bundle)
     init = _prep_init(init, bundle.n, bundle.dim)
-    _check_feedbacks(game, feedbacks, init, MeasureStats.from_cloud(init))
+    _check_feedbacks(game, feedbacks, init, MeasureStats.from_cloud(init), bundle.grid)
     drift = nplayer_drift(game, feedbacks, bundle.grid, bundle.n)
     return ParticleEnsemble(grid=bundle.grid, states=euler(drift, bundle.increments, init, bundle.grid), bundle=bundle)
 
@@ -404,7 +406,7 @@ def simulate_frozen_flow(
     stats_path = flow.stats_path()
     if len(stats_path) != bundle.grid.n_steps + 1:
         raise ValueError("flow and bundle must share the time grid")
-    _check_feedbacks(game, control, init, stats_path[0])
+    _check_feedbacks(game, control, init, stats_path[0], bundle.grid)
     times = bundle.grid.times
 
     def drift(j, x, step):
@@ -450,9 +452,12 @@ def path_payoffs(game: GameSpec, ensemble: ParticleEnsemble, feedbacks, stats_pa
 
     stats_path is the per-time list of MeasureStats the coefficients should
     see; by default it is recomputed from the ensemble's own clouds (the
-    coupled-game convention). Pass a frozen flow's stats for one-player runs.
+    coupled-game convention). Pass a frozen flow's stats for one-player runs:
+    one entry per grid node, M+1 in all.
     """
     n, grid, M = ensemble.n, ensemble.grid, ensemble.grid.n_steps
+    if stats_path is not None and len(stats_path) != M + 1:
+        raise ValueError(f"stats_path has {len(stats_path)} entries, not the ensemble's {M + 1} grid nodes")
     groups = _feedback_groups(feedbacks, n)
     times = grid.times
     own_stats = stats_path is None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab.controls import ControlField, sign_of_mean, sign_of_state
+from mfglab.controls import ControlField, sign_of_mean
 from mfglab.games import MeasureStats
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.relaxed import constant_relaxed
@@ -60,12 +60,6 @@ class TestSignFeedbacks:
         assert np.all(a == 0.0)
         a = f.actions(6, 0.6, x, MeasureStats.point(np.array([3.0])))
         assert np.all(a == 1.0)
-
-    def test_sign_of_state(self):
-        f = sign_of_state(_tg(), start=0.0)
-        x = np.array([[2.0], [-1.0], [0.0]])
-        a = f.actions(1, 0.5, x, None)
-        assert np.allclose(a[:, 0], [1.0, -1.0, 0.0])
 
 
 class TestGridFields:

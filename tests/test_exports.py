@@ -1,9 +1,13 @@
+import ast
 import inspect
+import pathlib
 
 import pytest
 
 import mfglab
-from mfglab import hjb, mfe, projection, relaxed
+from mfglab import controls, games, hjb, mfe, nash, projection, relaxed
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_every_export_resolves():
@@ -25,6 +29,49 @@ def test_retired_registries_are_not_exported():
     assert not hasattr(mfglab, "FEEDBACK_CATALOG") and not hasattr(mfglab, "register_game")
 
 
+def test_retired_exports_are_gone():
+    retired = {"reweighted_statistic", "sign_of_state", "make_game", "driftless"}
+    assert retired.isdisjoint(mfglab.__all__) and retired.isdisjoint(mfglab.GAME_CATALOG)
+    for module in (mfglab, controls, games, nash):
+        assert [name for name in retired if hasattr(module, name)] == []
+    assert len(mfglab.__all__) == 57 and len(mfglab.GAME_CATALOG) == 5
+
+
+def _callers():
+    """The code that runs the package: its modules but __init__, the benchmark and the acceptance claims."""
+    package = [path for path in sorted((ROOT / "src" / "mfglab").glob("*.py")) if path.name != "__init__.py"]
+    return package + sorted((ROOT / "benchmarks").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def _bound_names(statement) -> set:
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target] if isinstance(statement, ast.AnnAssign) else []
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _referenced_names() -> set:
+    """Every Name and Attribute in the callers, except inside the top-level
+    statement that binds it; the GAME_CATALOG literal only registers its
+    factories, so it counts for none of them."""
+    found = set()
+    for path in _callers():
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            bound = _bound_names(statement)
+            if "GAME_CATALOG" in bound:
+                continue
+            used = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+            found |= used - bound
+    return found
+
+
+def test_every_export_and_catalog_game_has_a_caller():
+    referenced = _referenced_names()
+    names = list(mfglab.__all__) + [factory.__name__ for factory in mfglab.GAME_CATALOG.values()]
+    assert [name for name in names if name not in referenced] == []
+
+
 # Every exported function's parameters that have defaults, with the defaults:
 # the settings a caller can change. Adding or bringing back a setting is an
 # edit to this table.
@@ -44,7 +91,6 @@ SETTINGS = {
     "girsanov_weights": {},
     "initial_cloud": {},
     "integrate_paths": {},
-    "make_game": {},
     "mean_drift": {"profile": "linear", "scale": 1.0, "x0": 1.0, "horizon": 1.0},
     "mimic_and_compare": {},
     "monotone_lq": {"horizon": 1.0, "action_cost": 0.5},
@@ -53,7 +99,6 @@ SETTINGS = {
     "path_payoffs": {"stats_path": None},
     "picard_mfe": {"damping": 0.5, "tol": 0.02, "max_iter": 25, "seed": 0, "indifference": 0.0},
     "project_drift": {"bins": 40},
-    "reweighted_statistic": {},
     "run_mean_drift": {"profile": "linear", "n_values": (64, 256, 1024), "reps": 200, "seed": 0, "horizon": 1.0, "n_steps": 1000, "threads": 1},
     "run_monotone_uniqueness": {"seed": 0, "horizon": 1.0, "n_steps": 1000, "n_player": 1024, "picard_particles": 8192, "picard_inits": (-1.0, -0.5, 0.0, 0.5, 1.0), "monotonicity_trials": 200, "threads": 1},
     "run_sign_drift": {"t0": 0.0, "n_values": (64, 256, 1024), "reps": 200, "seed": 0, "horizon": 1.0, "n_steps": 1000, "threads": 1},
@@ -61,7 +106,6 @@ SETTINGS = {
     "sample_brownian": {"dim": 1, "out": None, "particles": None},
     "sign_drift": {"horizon": 1.0},
     "sign_of_mean": {"start": 0.0},
-    "sign_of_state": {"start": 0.0},
     "simulate_frozen_flow": {"out": None},
     "simulate_nplayer": {},
     "sliced_wasserstein1": {},

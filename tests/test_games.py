@@ -13,7 +13,6 @@ from mfglab.games import (
     InitialLaw,
     MeasureStats,
     action_square,
-    make_game,
     mean_drift,
     mean_drift_ode_rhs,
     monotone_lq,
@@ -54,14 +53,6 @@ PINNED = [
         flags=(False, True), params={"profile": "sqrt", "scale": -0.7, "x0": 0.5, "horizon": 2.0},
         drift=[-0.4427188724235731, -0.4427188724235731, -0.4427188724235731], running=[0.0, 0.0, 0.0],
         terminal=[0.0, 0.0, 0.0], split=None)),
-    ("driftless", {}, dict(dims=(1, 1), action_box=([0.0], [0.0]), horizon=1.0, initial=("point", [0.0], [0.0]),
-        bounds=(1e-12, 0.0, 0.0), state_box=([-6.0], [6.0]), flags=(False, True), params={"horizon": 1.0, "x0": 0.0},
-        drift=[0.0, 0.0, 0.0], running=[0.0, 0.0, 0.0], terminal=[0.0, 0.0, 0.0], split=None)),
-    ("driftless", {"horizon": 0.6, "x0": -1.5}, dict(dims=(1, 1), action_box=([0.0], [0.0]), horizon=0.6,
-        initial=("point", [-1.5], [0.0]), bounds=(1e-12, 0.0, 0.0),
-        state_box=([-6.1475800154489], [3.1475800154489004]), flags=(False, True),
-        params={"horizon": 0.6, "x0": -1.5}, drift=[0.0, 0.0, 0.0], running=[0.0, 0.0, 0.0], terminal=[0.0, 0.0, 0.0],
-        split=None)),
     ("tracking_lq", {}, dict(dims=(1, 1), action_box=([-1.0], [1.0]), horizon=1.0, initial=("point", [0.0], [0.0]),
         bounds=(1.0, 0.0, 64.0), state_box=([-7.0], [7.0]), flags=(True, True),
         params={"horizon": 1.0, "target": 1.0, "action_cost": 0.0}, drift=[-1.0, 0.25, 0.6],
@@ -169,14 +160,8 @@ class TestGameSpecChecks:
 
 class TestCatalog:
     def test_required_names_present(self):
-        for name in ("sign_drift", "monotone_lq", "mean_drift", "driftless", "tracking_lq", "action_square"):
+        for name in ("sign_drift", "monotone_lq", "mean_drift", "tracking_lq", "action_square"):
             assert name in GAME_CATALOG
-
-    def test_make_game_passes_kwargs(self):
-        g = make_game("sign_drift", horizon=2.0)
-        assert g.horizon == 2.0
-        with pytest.raises(KeyError):
-            make_game("not_a_game")
 
 
 class TestSignDrift:

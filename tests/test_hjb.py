@@ -11,8 +11,6 @@ from mfglab.games import (
     GameSpec,
     InitialLaw,
     action_square,
-    driftless,
-    make_game,
     mean_drift,
     monotone_lq,
     sign_drift,
@@ -373,7 +371,7 @@ class TestMatchesPerAtomLoop:
     @pytest.mark.parametrize("tie_break,tie_tol", CASES)
     @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square"])
     def test_catalog_games(self, name, tie_break, tie_tol):
-        game = make_game(name)
+        game = GAME_CATALOG[name]()
         tg = TimeGrid(1.0, 60)
         flow = candidate_flow(game, tg, 0.4 * tg.times, 300, derive_seed(1, name))
         sg = SpatialGrid(game.state_lo, game.state_hi, 41)
@@ -455,7 +453,6 @@ CATALOG_GAMES = {
     "monotone_lq": monotone_lq,
     "tracking_lq": lambda: tracking_lq(target=1.0, action_cost=0.3),
     "action_square": lambda: action_square(reward_sign=1.0),
-    "driftless": driftless,
     **{f"mean_drift_{p}": (lambda p=p: mean_drift(p, scale=1.5)) for p in ("linear", "sign", "sqrt", "zero")},
 }
 TIE_CASES = [("lowest", 0.0), ("mean_drift", 0.0), ("mean_drift", 0.05)]
@@ -471,9 +468,9 @@ def _catalog_flows(game, tg):
 
 class TestCoefficientTable:
     def test_every_catalog_game_declares_batched_coefficients(self):
-        assert set(GAME_CATALOG) == {"sign_drift", "monotone_lq", "mean_drift", "driftless", "tracking_lq", "action_square"}
-        for name in GAME_CATALOG:
-            assert make_game(name).coefficients_batch_time
+        assert set(GAME_CATALOG) == {"sign_drift", "monotone_lq", "mean_drift", "tracking_lq", "action_square"}
+        for factory in GAME_CATALOG.values():
+            assert factory().coefficients_batch_time
         assert not _planar_game().coefficients_batch_time
 
     @pytest.mark.parametrize("name", sorted(CATALOG_GAMES))

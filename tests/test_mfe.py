@@ -36,6 +36,12 @@ class TestCandidateFlow:
         var_T = flow.samples[-1, :, 0].var()
         assert abs(var_T - 1.0) < 0.05
 
+    @pytest.mark.parametrize("count,message", [(0, "must be at least 1, got 0"), (2.0, "must be an int, got 2.0"), (True, "must be an int, got True")])
+    def test_particle_count_is_refused_by_name(self, count, message):
+        tg = TimeGrid(1.0, 10)
+        with pytest.raises(ValueError, match=f"^n_particles {message}$"):
+            candidate_flow(sign_drift(), tg, tg.times, count, 3)
+
 
 class TestPicard:
     def test_sign_drift_ramp_up_fixed_point(self):

@@ -6,7 +6,7 @@ import pytest
 
 from mfglab import nash, sim
 from mfglab.controls import ControlField, sign_of_mean
-from mfglab.games import MeasureStats, make_game, monotone_lq, sign_drift
+from mfglab.games import MeasureStats, mean_drift, monotone_lq, sign_drift
 from mfglab.grids import ActionGrid, TimeGrid
 from mfglab.hjb import default_action_grid, solve_hjb, stable_spatial_grid
 from mfglab.measures import EmpiricalFlow
@@ -15,7 +15,6 @@ from mfglab.nash import (
     averaged_deviation_weight,
     exploitability_estimate,
     girsanov_weights,
-    reweighted_statistic,
 )
 from mfglab.relaxed import constant_relaxed
 from mfglab.rng import BrownianBundle, derive_seed, initial_cloud, sample_brownian
@@ -59,32 +58,17 @@ class TestGirsanovWeights:
         with pytest.raises(ValueError):
             averaged_deviation_weight(game, bare, flow, fb, ControlField.constant(tg, 0.0))
 
-    def test_average_weight_is_unbiased_and_variance_decays(self):
-        # i.i.d. particles against a frozen flow keep the drift difference
-        # deterministic, so the average-weight variance scales like 1/n
+    def test_flow_on_another_grid_is_refused(self):
+        # the weights would read the flow's statistics by step index
         game = sign_drift()
-        tg = TimeGrid(1.0, 50)
-        old = sign_of_mean(tg)
-        new = ControlField.constant(tg, 0.0)
-        sampler = game.initial.sampler()
-        ramp = candidate_flow(game, tg, tg.times, 2048, derive_seed(99, "ramp"))
-
-        n_values = (64, 256, 1024)
-        variances = []
-        for n in n_values:
-            avg = np.empty(100)
-            for r in range(100):
-                bundle = sample_brownian(derive_seed(0, "vz", n, r), n, tg, 1)
-                x0 = initial_cloud(derive_seed(0, "vzi", n, r), n, sampler)
-                ens = simulate_frozen_flow(game, old, ramp, bundle, x0)
-                w = girsanov_weights(game, ens, ramp, old, new)
-                avg[r] = w.terminal.mean()
-            se = avg.std(ddof=1) / np.sqrt(avg.size)
-            assert abs(avg.mean() - 1.0) <= 3 * se
-            variances.append(avg.var(ddof=1))
-
-        slope = np.polyfit(np.log(n_values), np.log(variances), 1)[0]
-        assert -1.3 <= slope <= -0.7
+        tg = TimeGrid(1.0, 20)
+        fb = sign_of_mean(tg)
+        ens, _ = _coupled(game, tg, fb, 16, seed=3)
+        fine = candidate_flow(game, TimeGrid(1.0, 40), np.zeros(41), 64, 0)
+        message = r"^flow time grid TimeGrid\(horizon=1\.0, n_steps=40\) differs from the ensemble's grid TimeGrid\(horizon=1\.0, n_steps=20\)$"
+        for weigh in (girsanov_weights, averaged_deviation_weight):
+            with pytest.raises(ValueError, match=message):
+                weigh(game, ens, fine, fb, ControlField.constant(tg, 0.0))
 
     def test_exchangeability_under_player_permutation(self):
         game = sign_drift()
@@ -108,71 +92,46 @@ class TestGirsanovWeights:
         assert np.array_equal(w_p.terminal, w.terminal[perm])
 
 
+def _oracle_averaged_weight(game, ensemble, flow, old, new):
+    """averaged_deviation_weight as it was written before it shared _drift_difference."""
+    stats_path = flow.stats_path()
+    n, M = ensemble.n, ensemble.grid.n_steps
+    times, dt = ensemble.grid.times, ensemble.grid.dt
+    w_bar = ensemble.bundle.averaged()
+    root_n = np.sqrt(n)
+    old0 = old if isinstance(old, ControlField) else old[0]
+    log_z = 0.0
+    for j in range(M):
+        x0 = ensemble.states[:1, j, :]
+        stats = stats_path[j]
+        xi0 = sim.control_drift(game, new, j, times[j], x0, stats)[0] - sim.control_drift(game, old0, j, times[j], x0, stats)[0]
+        log_z += float(xi0 @ w_bar[j]) / root_n - 0.5 * float(xi0 @ xi0) * dt / n
+    return float(np.exp(log_z))
+
+
 class TestAveragedDeviationWeight:
-    def test_entropy_shrinks_like_one_over_population(self):
-        # relative-entropy proxy of the single-deviation tilt on the averaged
-        # noise stays below 2T/n: drift differences are at most 2 in magnitude
-        game = sign_drift()
-        tg = TimeGrid(1.0, 50)
-        old = sign_of_mean(tg)
-        new = ControlField.constant(tg, -1.0)
-        sampler = game.initial.sampler()
-        n = 64
-        z = np.empty(300)
-        for r in range(300):
-            bundle = sample_brownian(derive_seed(0, "ent", n, r), n, tg, 1)
-            x0 = initial_cloud(derive_seed(0, "enti", n, r), n, sampler)
-            ens = simulate_nplayer(game, old, bundle, x0)
-            flow = EmpiricalFlow.from_ensemble(ens)
-            z[r] = averaged_deviation_weight(game, ens, flow, old, new)
-        assert np.all(z > 0)
-        ent = z * np.log(z)
-        bound = 2.0 * tg.horizon / n
-        assert ent.mean() <= bound + 3 * ent.std(ddof=1) / np.sqrt(ent.size)
-
-
-def _mean_T(flow):
-    return float(flow.mean_path()[-1, 0])
-
-
-class TestReweightedStatistic:
-    def test_identity_deviation_reproduces_unweighted_value(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_step_loop(self, seed):
+        # coupled paths under a shared field and under a family, and a relaxed
+        # deviation: the weight keeps the bits of player 0's own loop
         game = sign_drift()
         tg = TimeGrid(1.0, 40)
         fb = sign_of_mean(tg)
-        ens, flow = _coupled(game, tg, fb, 256, seed=5)
-        w = girsanov_weights(game, ens, flow, fb, fb)
-        val, se = reweighted_statistic(w, ens, _mean_T)
-        assert val == pytest.approx(float(flow.mean_path()[-1, 0]), abs=1e-12)
-        assert se <= 1e-12
+        family = [ControlField.constant(tg, 0.5)] + [fb] * 15
+        relaxed = constant_relaxed(tg, ActionGrid(np.array([-1.0]), np.array([1.0]), 3), np.tile([0.2, 0.3, 0.5], (tg.n_steps, 1)))
+        for old in (fb, family):
+            ens, flow = _coupled(game, tg, old, 16, seed)
+            for new in (ControlField.constant(tg, -1.0), relaxed, fb):
+                assert averaged_deviation_weight(game, ens, flow, old, new) == _oracle_averaged_weight(game, ens, flow, old, new)
 
-    def test_constant_functional_returns_weight_mean(self):
-        game = sign_drift()
-        tg = TimeGrid(1.0, 40)
-        fb = sign_of_mean(tg)
-        ens, flow = _coupled(game, tg, fb, 256, seed=6)
-        w = girsanov_weights(game, ens, flow, fb, ControlField.constant(tg, 0.0))
-        val, _ = reweighted_statistic(w, ens, lambda f: 1.0)
-        assert val == pytest.approx(float(w.terminal.mean()), abs=1e-12)
-
-    def test_close_to_unweighted_at_large_population(self):
-        game = sign_drift()
-        tg = TimeGrid(1.0, 50)
-        fb = sign_of_mean(tg)
-        new = ControlField.constant(tg, 0.0)
-        ens, flow = _coupled(game, tg, fb, 1024, seed=2)
-        w = girsanov_weights(game, ens, flow, fb, new)
-        val, _ = reweighted_statistic(w, ens, _mean_T)
-        assert abs(val - float(flow.mean_path()[-1, 0])) <= 0.1
-
-    def test_functional_must_be_callable(self):
-        game = sign_drift()
-        tg = TimeGrid(1.0, 40)
-        fb = sign_of_mean(tg)
-        ens, flow = _coupled(game, tg, fb, 64, seed=7)
-        w = girsanov_weights(game, ens, flow, fb, fb)
-        with pytest.raises(ValueError, match=r"h must be a callable on flows, got 'mean_T'"):
-            reweighted_statistic(w, ens, "mean_T")
+    def test_frozen_flow_matches_the_per_step_loop(self):
+        game = monotone_lq()
+        tg = TimeGrid(1.0, 30)
+        flow = candidate_flow(game, tg, 0.5 * tg.times, 500, derive_seed(3, "flow"))
+        old, new = ControlField.constant(tg, 0.25), sign_of_mean(tg)
+        bundle = sample_brownian(derive_seed(3, "w"), 32, tg, 1)
+        ens = simulate_frozen_flow(game, old, flow, bundle, initial_cloud(derive_seed(3, "w0"), 32, game.initial.sampler()))
+        assert averaged_deviation_weight(game, ens, flow, old, new) == _oracle_averaged_weight(game, ens, flow, old, new)
 
 
 class TestExploitability:
@@ -211,7 +170,7 @@ class TestExploitability:
         assert res.j_dev > res.j_eq
 
     def test_zero_when_no_deviation_exists(self):
-        game = make_game("mean_drift", profile="zero")
+        game = mean_drift(profile="zero")
         tg = TimeGrid(1.0, 50)
         flow = candidate_flow(game, tg, np.zeros_like(tg.times), 1024, 5)
         fixed = ControlField.constant(tg, 0.0)
@@ -220,7 +179,7 @@ class TestExploitability:
         assert res.se_gap == 0.0
 
     def test_rows_record_each_repetition(self):
-        game = make_game("mean_drift", profile="zero")
+        game = mean_drift(profile="zero")
         tg = TimeGrid(1.0, 50)
         flow = candidate_flow(game, tg, np.zeros_like(tg.times), 256, 5)
         fixed = ControlField.constant(tg, 0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfglab.controls import ControlField
-from mfglab.games import make_game, monotone_lq, sign_drift
+from mfglab.games import GAME_CATALOG, action_square, monotone_lq, sign_drift
 from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.hjb import evaluate_payoff
 from mfglab.measures import DeterministicFlow, sliced_wasserstein1
@@ -391,7 +391,7 @@ class TestStrictSelection:
         ag = _three_atoms()
         rows = np.tile([0.5, 0.0, 0.5], (tg.n_steps, 1))
         rel = constant_relaxed(tg, ag, rows)
-        game = make_game("action_square", reward_sign=1.0)
+        game = action_square(reward_sign=1.0)
         res = strict_selection(game, rel, _flat_flow(tg))
         assert res.reward_violations == res.n_nodes
         assert res.worst_reward_loss == pytest.approx(1.0, abs=1e-12)
@@ -492,7 +492,7 @@ def _tilted_game():
 class TestSelectionMatchesPerAtomLoop:
     @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square", "tilted"])
     def test_spatially_varying_rows(self, name):
-        game = _tilted_game() if name == "tilted" else make_game(name)
+        game = _tilted_game() if name == "tilted" else GAME_CATALOG[name]()
         tg = TimeGrid(1.0, 30)
         sg = SpatialGrid(np.array([-3.0]), np.array([3.0]), 25)
         ag = ActionGrid(np.array([-1.0]), np.array([1.0]), 5)
@@ -508,7 +508,7 @@ class TestSelectionMatchesPerAtomLoop:
     @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square"])
     def test_certificate_rows(self, name, seed):
         # the symmetric rows and flat flow the selection certificate runs on
-        game = make_game(name, reward_sign=1.0) if name == "action_square" else make_game(name)
+        game = GAME_CATALOG[name]()
         tg = TimeGrid(1.0, 40)
         q = np.random.default_rng(derive_seed(seed, 7, "rows")).uniform(0.0, 0.5, size=tg.n_steps)
         rel = constant_relaxed(tg, _three_atoms(), np.column_stack([q, 1.0 - 2.0 * q, q]))
@@ -522,7 +522,7 @@ class TestSelectionMatchesPerAtomLoop:
     def test_steps_with_nan_rewards_are_skipped_like_the_loop(self, declared):
         # Python's running max never takes a NaN step maximum, and that step's
         # finite losses do not count either
-        base = make_game("action_square", reward_sign=1.0)
+        base = action_square(reward_sign=1.0)
         game = dataclasses.replace(
             base,
             running=lambda t, x, m, a: base.running(t, x, m, a) + np.where((t > 0.2) & (t < 0.5) & (x[..., 0] > 0.0), np.nan, 0.0),

@@ -199,6 +199,11 @@ class TestTimeMajorNoise:
             with pytest.raises(ValueError, match=r"out must be a C-contiguous float64 \(4, 3, 1\) array"):
                 sample_brownian(1, 3, tg, 1, out=bad)
 
+    def test_out_that_is_not_an_array_is_refused_by_name(self):
+        # as euler refuses it, not with an AttributeError from reading its shape
+        with pytest.raises(ValueError, match=r"^out must be a C-contiguous float64 \(4, 3, 1\) array, got list$"):
+            sample_brownian(1, 3, TimeGrid(1.0, 4), 1, out=[[[0.0]] * 3] * 4)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_partial_sums_and_average_keep_their_bits(self, dim):
         # the particle-major reductions the time-major layout replaced; with

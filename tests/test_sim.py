@@ -1,17 +1,17 @@
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from mfglab.controls import ControlField, sign_of_mean, sign_of_state
+from mfglab.controls import ControlField, sign_of_mean
 from mfglab.games import (
+    GAME_CATALOG,
     GameSpec,
     InitialLaw,
     MeasureStats,
     action_square,
-    driftless,
-    make_game,
     mean_drift,
     sign_drift,
     tracking_lq,
@@ -20,7 +20,7 @@ from mfglab.grids import ActionGrid, SpatialGrid, TimeGrid
 from mfglab.measures import DeterministicFlow, EmpiricalFlow
 from mfglab.nash import exploitability_estimate
 from mfglab import sim
-from mfglab.relaxed import constant_relaxed
+from mfglab.relaxed import chattering_approximation, constant_relaxed
 from mfglab.rng import derive_seed, initial_cloud, sample_brownian
 from mfglab.sim import (
     _feedback_groups,
@@ -79,7 +79,7 @@ def drift_log(monkeypatch):
 
 class TestNPlayer:
     def test_driftless_paths_are_exact_brownian(self, drift_log):
-        game = driftless()
+        game = mean_drift(profile="zero", x0=0.0)
         tg, bundle, x0 = _setup(game, 32, 25)
         ens = simulate_nplayer(game, ControlField.constant(tg, 0.0), bundle, x0)
         assert np.array_equal(ens.states, x0[:, None, :] + bundle.partial_sums())
@@ -206,9 +206,19 @@ class TestPayoffs:
         # terminal reward x * 2 with x ~ N(0, T)
         assert abs(pays.mean() - 2.0 * ens.states[:, -1, 0].mean()) < 1e-12
 
+    @pytest.mark.parametrize("nodes", [10, 21])
+    def test_stats_path_needs_one_entry_per_node(self, nodes):
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 16, 10)
+        ctrl = ControlField.constant(tg, 0.0)
+        ens = simulate_nplayer(game, ctrl, bundle, x0)
+        stats_path = DeterministicFlow(TimeGrid(1.0, nodes - 1), np.zeros(nodes)).stats_path()
+        with pytest.raises(ValueError, match=rf"^stats_path has {nodes} entries, not the ensemble's 11 grid nodes$"):
+            path_payoffs(game, ens, ctrl, stats_path=stats_path)
+
     def test_relaxed_control_averages_running_reward(self):
         # 50/50 relaxed row over {-1, +1}: mean drift 0, mean running reward 1
-        from mfglab.relaxed import constant_relaxed
+        from mfglab.relaxed import chattering_approximation, constant_relaxed
         from mfglab.grids import ActionGrid
 
         game = action_square(reward_sign=1.0)
@@ -302,7 +312,9 @@ class TestWrappersMatchPreMergeLoops:
     def test_nplayer_per_player_family(self, drift_log):
         game = sign_drift()
         tg, bundle, x0 = _setup(game, 9, 40, seed=2)
-        fields = [sign_of_mean(tg), sign_of_state(tg, start=0.1), ControlField.constant(tg, -0.3)]
+        sg = SpatialGrid(game.state_lo, game.state_hi, 41)
+        by_node = ControlField.pure(tg, sg, np.tile(np.sign(sg.axes[0])[:, None], (tg.n_steps, 1, 1)))
+        fields = [sign_of_mean(tg), by_node, ControlField.constant(tg, -0.3)]
         family = [fields[k % 3] for k in range(9)]
         ens = simulate_nplayer(game, family, bundle, x0)
         _same_bits(ens, _stacked(drift_log[-1]), _oracle_nplayer(game, family, bundle, x0))
@@ -694,6 +706,35 @@ class TestFeedbackFitsTheGame:
         with pytest.raises(ValueError, match=r"^feedback 'nan' on game 'sign_drift': action nan in dimension 0"):
             simulate_nplayer(game, field, bundle, x0)
 
+    def test_grid_field_on_another_grid_is_refused(self):
+        # a grid field is read by step index, so on a coarser bundle it would
+        # replay only the start of its table
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 20)
+        flow = DeterministicFlow(tg, np.zeros(tg.n_steps + 1))
+        sg, ag = SpatialGrid(np.array([-2.0]), np.array([2.0]), 5), ActionGrid(np.array([-1.0]), np.array([1.0]), 3)
+        rows = np.random.default_rng(1).dirichlet(np.ones(3), size=(20, 5))
+        chattered = chattering_approximation(ControlField.relaxed(tg, sg, ag, rows, name="rows"), 4)
+        coarse = ControlField.relaxed(TimeGrid(1.0, 5), sg, ag, rows[:5], name="coarse")
+        for field, steps in ((chattered, 80), (coarse, 5)):
+            message = rf"^feedback '{re.escape(field.name)}' on game 'sign_drift': time grid TimeGrid\(horizon=1\.0, n_steps={steps}\)"
+            message += r" is not the simulation's grid TimeGrid\(horizon=1\.0, n_steps=20\)$"
+            for run in (
+                lambda: simulate_nplayer(game, field, bundle, x0),
+                lambda: simulate_nplayer(game, [sign_of_mean(tg)] * 7 + [field], bundle, x0),
+                lambda: simulate_frozen_flow(game, field, flow, bundle, x0),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    run()
+
+    def test_analytic_field_grid_is_not_compared(self):
+        # an analytic field reads the time, never the step index
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 20)
+        own = simulate_nplayer(game, sign_of_mean(tg, start=0.3), bundle, x0)
+        other = simulate_nplayer(game, sign_of_mean(TimeGrid(1.0, 80), start=0.3), bundle, x0)
+        assert np.array_equal(own.states, other.states)
+
     def test_analytic_field_costs_one_extra_call(self):
         # the check calls an analytic field once, at step 0 on the initial
         # states; later actions are the caller's to keep in the box
@@ -949,7 +990,7 @@ class TestRelaxedAveragingMatchesPerAtomLoop:
     @pytest.mark.parametrize("shape", [(1,), (37,), (3, 11)])
     @pytest.mark.parametrize("name", ["sign_drift", "monotone_lq", "tracking_lq", "action_square", "two_action"])
     def test_drift_and_running(self, name, shape):
-        game = _two_action_game() if name == "two_action" else make_game(name)
+        game = _two_action_game() if name == "two_action" else GAME_CATALOG[name]()
         tg = TimeGrid(1.0, 4)
         sg = SpatialGrid(np.array([-2.0]), np.array([2.0]), 9)
         ag = ActionGrid(game.action_lo, game.action_hi, 4 if name == "two_action" else 5)
