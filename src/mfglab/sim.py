@@ -390,8 +390,9 @@ def simulate_frozen_flow(
 ) -> ParticleEnsemble:
     """Integrate i.i.d. copies against a frozen measure flow.
 
-    flow only needs a stats_path() method; particles never see each other, so
-    the cloud is a plain Monte Carlo sample of the controlled one-player law.
+    flow only needs a grid, the bundle's, and a stats_path() method; particles
+    never see each other, so the cloud is a plain Monte Carlo sample of the
+    controlled one-player law.
 
     out, if given, is the time-major (M+1, n, d) array the states are written
     into, as in euler. The bundle may be drawn into out[1:], by
@@ -403,9 +404,9 @@ def simulate_frozen_flow(
     """
     _check_bundle(game, bundle)
     init = _prep_init(init, bundle.n, bundle.dim)
+    if flow.grid != bundle.grid:
+        raise ValueError(f"flow time grid {flow.grid} differs from the bundle's grid {bundle.grid}")
     stats_path = flow.stats_path()
-    if len(stats_path) != bundle.grid.n_steps + 1:
-        raise ValueError("flow and bundle must share the time grid")
     _check_feedbacks(game, control, init, stats_path[0], bundle.grid)
     times = bundle.grid.times
 

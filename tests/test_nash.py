@@ -58,6 +58,33 @@ class TestGirsanovWeights:
         with pytest.raises(ValueError):
             averaged_deviation_weight(game, bare, flow, fb, ControlField.constant(tg, 0.0))
 
+    def test_average_weight_is_unbiased_and_variance_decays(self):
+        # i.i.d. particles against a frozen flow keep the drift difference
+        # deterministic, so the average-weight variance scales like 1/n
+        game = sign_drift()
+        tg = TimeGrid(1.0, 50)
+        old = sign_of_mean(tg)
+        new = ControlField.constant(tg, 0.0)
+        sampler = game.initial.sampler()
+        ramp = candidate_flow(game, tg, tg.times, 2048, derive_seed(99, "ramp"))
+
+        n_values = (64, 256, 1024)
+        variances = []
+        for n in n_values:
+            avg = np.empty(100)
+            for r in range(100):
+                bundle = sample_brownian(derive_seed(0, "vz", n, r), n, tg, 1)
+                x0 = initial_cloud(derive_seed(0, "vzi", n, r), n, sampler)
+                ens = simulate_frozen_flow(game, old, ramp, bundle, x0)
+                w = girsanov_weights(game, ens, ramp, old, new)
+                avg[r] = w.terminal.mean()
+            se = avg.std(ddof=1) / np.sqrt(avg.size)
+            assert abs(avg.mean() - 1.0) <= 3 * se
+            variances.append(avg.var(ddof=1))
+
+        slope = np.polyfit(np.log(n_values), np.log(variances), 1)[0]
+        assert -1.3 <= slope <= -0.7
+
     def test_flow_on_another_grid_is_refused(self):
         # the weights would read the flow's statistics by step index
         game = sign_drift()
@@ -110,6 +137,27 @@ def _oracle_averaged_weight(game, ensemble, flow, old, new):
 
 
 class TestAveragedDeviationWeight:
+    def test_entropy_shrinks_like_one_over_population(self):
+        # relative-entropy proxy of the single-deviation tilt on the averaged
+        # noise stays below 2T/n: drift differences are at most 2 in magnitude
+        game = sign_drift()
+        tg = TimeGrid(1.0, 50)
+        old = sign_of_mean(tg)
+        new = ControlField.constant(tg, -1.0)
+        sampler = game.initial.sampler()
+        n = 64
+        z = np.empty(300)
+        for r in range(300):
+            bundle = sample_brownian(derive_seed(0, "ent", n, r), n, tg, 1)
+            x0 = initial_cloud(derive_seed(0, "enti", n, r), n, sampler)
+            ens = simulate_nplayer(game, old, bundle, x0)
+            flow = EmpiricalFlow.from_ensemble(ens)
+            z[r] = averaged_deviation_weight(game, ens, flow, old, new)
+        assert np.all(z > 0)
+        ent = z * np.log(z)
+        bound = 2.0 * tg.horizon / n
+        assert ent.mean() <= bound + 3 * ent.std(ddof=1) / np.sqrt(ent.size)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_the_per_step_loop(self, seed):
         # coupled paths under a shared field and under a family, and a relaxed

@@ -156,6 +156,21 @@ class TestFrozenFlow:
         corr = np.corrcoef(ends[:1000], ends[1000:])[0, 1]
         assert abs(corr) < 0.1
 
+    @pytest.mark.parametrize("kind", ["deterministic", "empirical"])
+    def test_flow_on_another_grid_is_refused(self, kind):
+        # the flow's statistics are read by step index, so a flow on another
+        # horizon with the same step count would drive the wrong times
+        game = sign_drift()
+        tg, bundle, x0 = _setup(game, 8, 20)
+        for other in (TimeGrid(2.0, 20), TimeGrid(1.0, 40)):
+            if kind == "deterministic":
+                flow = DeterministicFlow(other, np.zeros((other.n_steps + 1, 1)))
+            else:
+                flow = EmpiricalFlow(other, np.zeros((other.n_steps + 1, 4, 1)))
+            message = rf"^flow time grid {re.escape(repr(other))} differs from the bundle's grid TimeGrid\(horizon=1\.0, n_steps=20\)$"
+            with pytest.raises(ValueError, match=message):
+                simulate_frozen_flow(game, ControlField.constant(tg, 0.0), flow, bundle, x0)
+
 
 class TestIntegratePaths:
     def test_array_drift(self):
